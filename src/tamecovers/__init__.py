@@ -8,7 +8,6 @@ from .addconst import (
     additive_twist,
     construct_family,
     find_merging_c,
-    hp_transfer,
     lambda_of_c,
     make_merged_cover,
 )

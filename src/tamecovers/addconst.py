@@ -38,7 +38,7 @@ from .errors import (
 )
 from .field import FieldElem, is_prime, make_field
 from .poly import INF, Poly, ProjPoint, RatFunc, evaluate, map_degree, ord_at, roots
-from .ramify import NormalizedCover, RamType, analyze_cover
+from .ramify import NormalizedCover, RamType, expect_cover
 
 
 @dataclass(frozen=True)
@@ -78,30 +78,14 @@ class TwistResult:
 def _verify_merged(f: RatFunc, p: int, e, rho: FieldElem) -> RamType:
     e1, e2, e3, e4 = e
     d = (sum(e) - 2) // 2
-    ctx = f.ctx
-    zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
-    analysis = analyze_cover(f, candidates=(ctx.zero, ctx.one, rho), with_fibers=False)
-    ok = (
-        analysis.complete
-        and analysis.tame
-        and analysis.degree == d
-        and len(analysis.ram_points) == 4
-        and len(analysis.branch_points) == 3
-        and analysis.index_at(INF) == e1
-        and analysis.index_at(zero) == e2
-        and analysis.index_at(one) == e3
-        and analysis.index_at(rho) == e4
-        and evaluate(f, INF) == INF
-        and evaluate(f, zero) == zero
-        and evaluate(f, one) == one
-        and evaluate(f, rho) == one
+    zero, one = ProjPoint(f.ctx.zero), ProjPoint(f.ctx.one)
+    return expect_cover(
+        f, TypeDegenerates, f"map of merged type ({d}; {e1},{e2},{e3}-{e4})",
+        points=((INF, e1), (zero, e2), (one, e3), (rho, e4)),
+        images=((INF, INF), (zero, zero), (one, one), (rho, one)),
+        branch=3,
+        degree=d,
     )
-    if not ok:
-        raise TypeDegenerates(
-            f"map does not have merged type ({d}; {e1},{e2},{e3}-{e4})"
-        )
-    assert analysis.ram_type is not None
-    return analysis.ram_type
 
 
 def make_merged_cover(f: RatFunc, p: int, e, rho: FieldElem) -> MergedCover:
@@ -134,28 +118,17 @@ def additive_twist(m: MergedCover, c: FieldElem) -> TwistResult:
     scale = (ctx.one + c).inverse()
     g = f_c * scale
     lam = (ctx.one + c * rho_p) * scale
-    assert evaluate(g, m.rho) == ProjPoint(lam)
 
     e1, e2, e3, e4 = m.e
     zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
-    analysis = analyze_cover(g, candidates=(ctx.zero, ctx.one, m.rho), with_fibers=False)
-    ok = (
-        analysis.complete
-        and analysis.tame
-        and len(analysis.ram_points) == 4
-        and len(analysis.branch_points) == 4
-        and analysis.index_at(INF) == e1
-        and analysis.index_at(zero) == e2
-        and analysis.index_at(one) == e3
-        and analysis.index_at(m.rho) == e4
-        and evaluate(g, zero) == zero
-        and evaluate(g, one) == one
-        and evaluate(g, INF) == INF
+    ram_type = expect_cover(
+        g, TypeDegenerates, f"twist by c = {c}",
+        points=((INF, e1), (zero, e2), (one, e3), (m.rho, e4)),
+        images=((zero, zero), (one, one), (INF, INF), (m.rho, lam)),
+        branch=4,
     )
-    if not ok:
-        raise TypeDegenerates(f"twist by c = {c} did not produce the split type")
     return TwistResult(
-        cover=NormalizedCover(cover=g, ram_type=analysis.ram_type),
+        cover=NormalizedCover(cover=g, ram_type=ram_type),
         lam=lam,
         c=c,
     )
@@ -179,13 +152,15 @@ def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, F
         raise FrobeniusCollision(f"{x3}^p = {x4}^p for distinct points")
     v3 = evaluate(g, x3)
     v4 = evaluate(g, x4)
-    assert not v3.is_infinite and not v4.is_infinite
+    if v3.is_infinite or v4.is_infinite:
+        raise TypeDegenerates("a ramification point to merge is a pole")
     c = (v4.value - v3.value) / (x3p - x4p)
 
     xp = Poly.from_ints(ctx, [0] * p + [1])
     merged = g + RatFunc.from_poly(xp) * c
     shared = evaluate(merged, x3)
-    assert shared == evaluate(merged, x4)
+    if shared != evaluate(merged, x4):
+        raise TypeDegenerates(f"the twist by c = {c} does not merge {x3} and {x4}")
     if shared.is_infinite or shared.value.is_zero:
         raise TypeDegenerates("merged branch point collided with 0 or infinity")
     normalized = merged / shared.value
@@ -204,7 +179,8 @@ def lambda_of_c(m: MergedCover) -> RatFunc:
     num = Poly.from_elems(ctx, [ctx.one, rho_p])  # 1 + rho^p c
     den = Poly.from_elems(ctx, [ctx.one, ctx.one])  # 1 + c
     lam = RatFunc.make(num, den)
-    assert map_degree(lam) == 1
+    if map_degree(lam) != 1:
+        raise TypeDegenerates(f"lambda(c) = {lam} is not a degree-1 map")
     return lam
 
 
@@ -225,7 +201,8 @@ def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
     out = []
     skipped = []
     for a, mult, _k in roots(quad, 2):
-        assert mult == 1, "the quadratic in a has distinct roots for 1 < e3 < p"
+        if mult != 1:
+            raise TypeDegenerates(f"the quadratic in a has a double root for e3 = {e3}")
         actx = a.ctx
         one = actx.one
         e3a, e4a = actx.from_int(e3), actx.from_int(e4)
@@ -250,8 +227,9 @@ def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
             * Poly.from_elems(actx, [-a, one])
         )
         f = RatFunc.from_poly(Poly.one(actx) + shape * c)
-        assert evaluate(f, actx.zero) == ProjPoint(actx.zero)
-        assert ord_at(f, actx.zero, actx.zero) == 3
+        zero = ProjPoint(actx.zero)
+        if evaluate(f, zero) != zero or ord_at(f, zero, zero) != 3:
+            raise TypeDegenerates(f"f does not vanish to order 3 at 0 for a = {a}")
         merged = make_merged_cover(f, p, (p + 2, 3, e3, e4), rho)
         out.append(AdditiveFamily(p=p, e3=e3, e4=e4, a=a, rho=rho, c=c, merged=merged))
     if not out:
@@ -261,7 +239,3 @@ def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
     out.sort(key=lambda fam: (fam.a.min_degree(), fam.a.sort_key()))
     return out
 
-
-def hp_transfer(p: int, merged_count: int) -> int:
-    """Merged-type counts transfer unchanged to the split 4-point type."""
-    return int(merged_count)

@@ -253,7 +253,7 @@ def _cmd_additive_family(args, p: int) -> dict:
         "e3": e3,
         "e4": e4,
         "families": [_family_entry(f) for f in fams],
-        "h_p_4pt": addconst.hp_transfer(p, len(fams)),
+        "h_p_4pt": len(fams),  # merged-type counts transfer unchanged to the split type
     }
 
 
@@ -328,9 +328,8 @@ def _suite_paper_examples(p: int, ext: int) -> list[dict]:
     checks.append(_check(f"example-b-supersingular-p{p}",
                          [jsonio.elem_str(s) for s in L_b.supersingular],
                          [jsonio.elem_str(two_thirds)]))
-    es_sorted = tuple(sorted((3, 2, p - 2), key=lambda e: (e * (t_b.d + 1 - e), e)))
-    checks.append(_check(f"example-b-bad-degree-p{p}",
-                         multconst.bad_degree(p, es_sorted).bad, p))
+    b_first = multconst.min_first(t_b.d, (3, 2, p - 2))
+    checks.append(_check(f"example-b-bad-degree-p{p}", multconst.bad_degree(p, b_first).bad, p))
 
     if p == 5:
         fams = addconst.construct_family(5, 2, 4)
@@ -361,9 +360,7 @@ def _suite_formulas(p_max: int, ext: int) -> list[dict]:
                 t = multconst.FourPointType(p, *es)
             except DomainError:
                 continue
-            d = t.d
-            ordered = tuple(sorted(es, key=lambda e: (e * (d + 1 - e), e)))
-            res = multconst.bad_degree(p, ordered)
+            res = multconst.bad_degree(p, multconst.min_first(t.d, es))
             if res.bad != res.h - res.h_p:
                 bad_mismatches.append(list(es))
             if res.case == "mixed" and res.bad % p != 0:

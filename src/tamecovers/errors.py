@@ -19,6 +19,12 @@ class UsageError(Exception):
     """Bad command line or malformed input literal (CLI exit code 1)."""
 
 
+class InvariantViolated(DomainError):
+    """An internal invariant failed; checked by a raise, so it holds under -O."""
+
+    code = "InvariantViolated"
+
+
 # field construction and arithmetic
 
 class NotPrime(DomainError):

@@ -32,6 +32,7 @@ from fractions import Fraction
 from .errors import (
     CharZero,
     DivisionByZero,
+    InvariantViolated,
     MixedContexts,
     NoModulusFound,
     NotPrime,
@@ -52,10 +53,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _divisors(n: int) -> list[int]:
-    return [k for k in range(1, n + 1) if n % k == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,8 @@ def _pinvmod(a: list[int], mod: list[int], p: int) -> list[int]:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    assert len(r0) == 1
+    if len(r0) != 1:
+        raise InvariantViolated("element shares a factor with the irreducible modulus")
     inv = pow(r0[0], -1, p)
     return _ptrim([c * inv % p for c in s0])
 
@@ -603,10 +601,11 @@ class FieldElem:
         for _ in range(ctx.n):
             chain = chain.frobenius()
             images.append(chain)
-        for k in _divisors(ctx.n):
-            if images[k - 1] == self:
+        # the first k with self^(p^k) = self is the orbit length, a divisor of n
+        for k, image in enumerate(images, start=1):
+            if image == self:
                 return k
-        raise AssertionError("element not fixed by full Frobenius orbit")
+        raise InvariantViolated("element not fixed by full Frobenius orbit")
 
     def sort_key(self):
         return self.ctx.sort_key(self.raw)

@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .field import ExtField, FieldCtx, FieldElem, make_field
-from .poly import Poly, ProjPoint, RatFunc
+from .poly import Poly, ProjPoint, RatFunc, clear_denominators
 from .ramify import CoverAnalysis
 
 
 def elem_str(e: FieldElem) -> str:
     return e.ctx.format(e.raw)
-
-
-def parse_elem(ctx: FieldCtx, s: str) -> FieldElem:
-    return ctx.parse(s)
 
 
 def proj_str(pt: ProjPoint) -> str:
@@ -39,30 +35,13 @@ def poly_from_strs(ctx: FieldCtx, strs) -> Poly:
 
 def _cleared_int_strs(rf: RatFunc) -> tuple[list[str], list[str]]:
     """Integer-coefficient scaling of a rational function over Q."""
-    fracs = [c.raw for c in rf.num.coeffs] + [c.raw for c in rf.den.coeffs]
-    lcm = 1
-    for fr in fracs:
-        d = fr.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(fr * lcm) for fr in fracs]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    g = g or 1
-    ints = [v // g for v in ints]
+    ints = clear_denominators([c.raw for c in rf.num.coeffs + rf.den.coeffs])
     nn = len(rf.num.coeffs)
     num, den = ints[:nn], ints[nn:]
     if den and den[-1] < 0:
         num = [-v for v in num]
         den = [-v for v in den]
     return [str(v) for v in num], [str(v) for v in den]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def ratfunc_strs(rf: RatFunc) -> tuple[list[str], list[str]]:

@@ -54,7 +54,7 @@ from .poly import (
     radical,
     roots,
 )
-from .ramify import NormalizedCover, analyze_cover
+from .ramify import NormalizedCover, expect_cover
 from .threepoint import ThreePointSpec, solve_three_point
 
 
@@ -177,10 +177,20 @@ class LiftResult:
     indices: tuple[int, int, int, int]  # at 0, 1, infinity, mu
 
 
-def _frobenius_linear_power(ctx: FieldCtx, mu: FieldElem, p: int) -> Poly:
-    """(y - mu)^p = y^p - mu^p in characteristic p."""
-    mup = mu ** p
-    return Poly.from_elems(ctx, [-mup] + [ctx.zero] * (p - 1) + [ctx.one])
+def _swap_through(F: RatFunc, mu: FieldElem, c: FieldElem) -> RatFunc:
+    """The step shared by lift and contract: w = (y - mu)^p / (F - c),
+    normalized by the affine map sending w(0), w(1) to 0, 1."""
+    ctx = mu.ctx
+    p = ctx.characteristic
+    # (y - mu)^p = y^p - mu^p in characteristic p
+    ypow = Poly.from_elems(ctx, [-(mu ** p)] + [ctx.zero] * (p - 1) + [ctx.one])
+    w = RatFunc.make(ypow * F.den, F.fiber_poly(c))
+    w0 = evaluate(w, ctx.zero).value
+    w1 = evaluate(w, ctx.one).value
+    if w1 == w0:
+        raise FormulaMismatch(f"w(0) = w(1) = {w0}: degenerate normalization at mu = {mu}")
+    # an affine image of a reduced map with monic denominator stays reduced
+    return RatFunc((w.num - w.den * w0) * (w1 - w0).inverse(), w.den)
 
 
 def lift(h: NormalizedCover, mu: FieldElem, verify: bool = True) -> LiftResult:
@@ -216,43 +226,23 @@ def lift(h: NormalizedCover, mu: FieldElem, verify: bool = True) -> LiftResult:
     if hvv == mup:
         raise InvalidMu(f"h(mu) = mu^p at mu = {mu} (fixed point)")
 
-    w = RatFunc.make(
-        _frobenius_linear_power(ctx, mu, p) * hl.den,
-        hl.num - Poly.constant(hvv) * hl.den,
-    )
-    w0 = evaluate(w, ctx.zero).value
-    w1 = evaluate(w, ctx.one).value
-    assert w1 != w0, "degenerate normalization in lift"
-    f = (w - w0) / (w1 - w0)
-
+    f = _swap_through(hl, mu, hvv)
     lam = mup * (ctx.one - hvv) / (mup - hvv)
-    assert evaluate(f, mu) == ProjPoint(lam), "closed form for lambda disagrees"
+    if evaluate(f, mu) != ProjPoint(lam):
+        raise FormulaMismatch(f"closed form lambda = {lam} but f(mu) = {evaluate(f, mu)}")
 
     ram_type = None
     if verify:
-        analysis = analyze_cover(f, candidates=(ctx.zero, ctx.one, mu), with_fibers=False)
+        # f(mu) = lambda was checked above, so four branch points with the
+        # images 0, 1, inf -> 0, 1, inf also keep lambda off 0 and 1
         zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
-        ok = (
-            analysis.complete
-            and analysis.tame
-            and analysis.degree == d
-            and len(analysis.ram_points) == 4
-            and analysis.index_at(zero) == e1
-            and analysis.index_at(one) == e2
-            and analysis.index_at(INF) == e3
-            and analysis.index_at(mu) == p - 1
-            and evaluate(f, zero) == zero
-            and evaluate(f, one) == one
-            and evaluate(f, INF) == INF
-            and len(set(analysis.branch_points)) == 4
-            and lam != ctx.zero
-            and lam != ctx.one
+        ram_type = expect_cover(
+            f, FormulaMismatch, f"lift of {h.ram_type} at mu = {mu}",
+            points=((zero, e1), (one, e2), (INF, e3), (mu, p - 1)),
+            images=((zero, zero), (one, one), (INF, INF)),
+            branch=4,
+            degree=d,
         )
-        if not ok:
-            raise FormulaMismatch(
-                f"lift of {h.ram_type} at mu = {mu} failed type verification"
-            )
-        ram_type = analysis.ram_type
     return LiftResult(
         cover=NormalizedCover(cover=f, ram_type=ram_type),
         lam=lam,
@@ -277,31 +267,17 @@ def contract(f: RatFunc, lam: FieldElem, mu: FieldElem, verify: bool = True) -> 
     if e != p - 1:
         raise WrongIndex(f"index at mu = {mu} is {e}, expected p-1 = {p - 1}")
 
-    g = RatFunc.make(
-        _frobenius_linear_power(ctx, mu, p) * f.den,
-        f.num - Poly.constant(lam) * f.den,
-    )
-    g0 = evaluate(g, ctx.zero).value
-    g1 = evaluate(g, ctx.one).value
-    assert g1 != g0, "degenerate normalization in contract"
-    h = (g - g0) / (g1 - g0)
+    h = _swap_through(f, mu, lam)
 
     ram_type = None
     if verify:
-        analysis = analyze_cover(h, candidates=(ctx.zero, ctx.one), with_fibers=False)
         zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
-        ok = (
-            analysis.complete
-            and analysis.tame
-            and analysis.branch_points == (zero, one, INF)
-            and evaluate(h, zero) == zero
-            and evaluate(h, one) == one
-            and evaluate(h, INF) == INF
-            and len(analysis.ram_points) == 3
+        ram_type = expect_cover(
+            h, FormulaMismatch, f"contract at mu = {mu}",
+            points=((zero, None), (one, None), (INF, None)),
+            images=((zero, zero), (one, one), (INF, INF)),
+            branch=(zero, one, INF),
         )
-        if not ok:
-            raise FormulaMismatch(f"contract at mu = {mu} failed type verification")
-        ram_type = analysis.ram_type
     return NormalizedCover(cover=h, ram_type=ram_type)
 
 
@@ -326,25 +302,32 @@ def _exclusion_poly(h: RatFunc) -> Poly:
     return out
 
 
+def _finite(lam0) -> FieldElem | None:
+    """A lambda value as a field element; None for the point at infinity."""
+    return lam0.value if isinstance(lam0, ProjPoint) else lam0
+
+
+def _fiber_poly(L: LambdaMap, lam0: FieldElem) -> Poly:
+    """The mu-polynomial over lam0, in the field of lam0."""
+    return lift_ratfunc(L.map, lam0.ctx).fiber_poly(lam0)
+
+
 def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = 6) -> int:
     """Number of valid mu with lambda(mu) = lam0 in the extension tower.
 
     Counts distinct roots of the fiber polynomial whose degree over F_p is
     within the bound, then removes the roots excluded by the construction.
     """
-    if isinstance(lam0, ProjPoint):
-        if lam0.is_infinite:
-            raise BranchValueExcluded("lambda = infinity is a branch value")
-        lam0 = lam0.value
+    lam0 = _finite(lam0)
+    if lam0 is None:
+        raise BranchValueExcluded("lambda = infinity is a branch value")
     ctx0 = lam0.ctx
     if ctx0.characteristic != L.p:
         raise MixedContexts(f"lambda lives in characteristic {ctx0.characteristic}")
     if lam0.is_zero or lam0 == ctx0.one:
         raise BranchValueExcluded(f"lambda = {lam0} is one of the fixed branch values")
 
-    num = lift_poly(L.map.num, ctx0)
-    den = lift_poly(L.map.den, ctx0)
-    P = num - Poly.constant(lam0) * den
+    P = _fiber_poly(L, lam0)
     total = sum(count_roots_by_degree(P, max_ext_degree).values())
     excl = lift_poly(_exclusion_poly(L.base.cover), ctx0)
     bad_poly = poly_gcd(radical(P), excl)
@@ -356,22 +339,17 @@ def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = 6) -> int:
 
 def is_critical_value(L: LambdaMap, lam0) -> bool:
     """Whether the fiber polynomial over lam0 has a repeated root."""
-    if isinstance(lam0, ProjPoint):
-        if lam0.is_infinite:
-            return True
-        lam0 = lam0.value
-    ctx0 = lam0.ctx
-    num = lift_poly(L.map.num, ctx0)
-    den = lift_poly(L.map.den, ctx0)
-    P = num - Poly.constant(lam0) * den
+    lam0 = _finite(lam0)
+    if lam0 is None:
+        return True
+    P = _fiber_poly(L, lam0)
     return poly_gcd(P, P.derivative()).degree > 0
 
 
 def is_supersingular_value(L: LambdaMap, lam0) -> bool:
-    if isinstance(lam0, ProjPoint):
-        if lam0.is_infinite:
-            return False
-        lam0 = lam0.value
+    lam0 = _finite(lam0)
+    if lam0 is None:
+        return False
     for s in L.supersingular:
         if _same_algebraic_point(s, lam0):
             return True
@@ -401,30 +379,36 @@ class BadDegreeResult:
     quotient: int | None  # (h - h_p)/p in the mixed case
 
 
+def _score(d: int, e: int) -> int:
+    return e * (d + 1 - e)
+
+
+def min_first(d: int, es) -> tuple[int, ...]:
+    """es ordered by e(d+1-e), ties by e: the order bad_degree expects."""
+    return tuple(sorted(es, key=lambda e: (_score(d, e), e)))
+
+
 def bad_degree(p: int, es) -> BadDegreeResult:
     """Covers with generic branch locus and bad reduction, by the piecewise
     closed form; es must put the minimal e_i (d+1-e_i) first."""
     t = FourPointType(p, *es)
     d = t.d
-
-    def score(e: int) -> int:
-        return e * (d + 1 - e)
-
-    if score(t.e1) != min(score(t.e1), score(t.e2), score(t.e3)):
+    s1, s2, s3, s4 = (_score(d, e) for e in (t.e1, t.e2, t.e3, t.e4))
+    if s1 != min(s1, s2, s3):
         raise MinNotAtFirst(
             f"min of e_i(d+1-e_i) over {es} is not attained at e1 = {t.e1}"
         )
     if d < p - 1:
         h = 0  # the (p-1)-cycle does not fit in degree d: no covers at all
     else:
-        h = min(score(t.e1), score(t.e2), score(t.e3), score(t.e4))
+        h = min(s1, s2, s3, s4)
     h_p = p_hurwitz_4pt(p, t)
     if d <= p - 1:
         case, bad, quotient = "all_good", 0, None
     elif d <= p - 2 + t.e1:
         case, bad, quotient = "mixed", p * (d + 1 - p), d + 1 - p
     else:
-        case, bad, quotient = "all_bad", score(t.e1), None
+        case, bad, quotient = "all_bad", s1, None
     if bad != h - h_p:
         raise FormulaMismatch(
             f"piecewise bad degree {bad} != h - h_p = {h} - {h_p} for {t}"
@@ -437,18 +421,12 @@ def divisibility_check(p: int, es) -> dict:
     """In the mixed case, h - h_p is always divisible by p; returns the
     quotient d+1-p.  Raises HypothesisFails outside the mixed case."""
     es = tuple(int(e) for e in es)
-    t = FourPointType(p, *es)
-    d = t.d
-
-    def score(e: int) -> int:
-        return e * (d + 1 - e)
-
-    ordered = tuple(sorted(es, key=lambda e: (score(e), e)))
-    res = bad_degree(p, ordered)
+    res = bad_degree(p, min_first(FourPointType(p, *es).d, es))
     if res.case != "mixed":
         raise HypothesisFails(
             f"type {es} at p = {p} is in the {res.case} case, h = {res.h}, h_p = {res.h_p}"
         )
-    assert res.bad % p == 0
+    if res.bad % p:
+        raise FormulaMismatch(f"bad degree {res.bad} of {es} is not divisible by p = {p}")
     return {"divisible": True, "quotient": res.quotient, "bad": res.bad,
             "h": res.h, "h_p": res.h_p}

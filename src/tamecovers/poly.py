@@ -20,6 +20,7 @@ Root finding in characteristic p works in two regimes:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     ConstantMap,
     DegenerateTriple,
     DivisionByZero,
+    InvariantViolated,
     MixedContexts,
     SingularMobius,
     ValueMismatch,
@@ -496,6 +498,10 @@ class RatFunc:
             return NotImplemented
         return o / self
 
+    def fiber_poly(self, c: FieldElem) -> Poly:
+        """num - c*den, whose roots are the finite points over c."""
+        return self.num - self.den * c
+
     def derivative(self) -> "RatFunc":
         return RatFunc.make(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
@@ -577,8 +583,7 @@ def ord_at(f: RatFunc, x, target) -> int:
         return ord_at(reciprocal_arg(f), ProjPoint(f.ctx.zero), target)
     if target.is_infinite:
         return linear_multiplicity(f.den, x.value)
-    g = f.num - Poly.constant(target.value) * f.den
-    return linear_multiplicity(g, x.value)
+    return linear_multiplicity(f.fiber_poly(target.value), x.value)
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +690,15 @@ def _linear_roots_split(g: Poly) -> list[FieldElem]:
         return []
     if ctx.order <= _SCAN_LIMIT:
         found = [e for e in ctx.elements() if g(e).is_zero]
-        assert len(found) == g.degree, "polynomial did not split as expected"
+        if len(found) != g.degree:
+            raise InvariantViolated("polynomial did not split as expected")
         return found
     # deterministic equal-degree splitting: successive shifts a separate any
     # pair of roots because the quadratic character of (r + a) cannot agree
     # for every a in the field
     q = ctx.order
-    assert q % 2 == 1
+    if q % 2 == 0:
+        raise InvariantViolated(f"equal-degree splitting needs odd order, got {q}")
     half = (q - 1) // 2
 
     def split(h: Poly) -> list[FieldElem]:
@@ -703,7 +710,7 @@ def _linear_roots_split(g: Poly) -> list[FieldElem]:
             t = poly_gcd(s - Poly.one(ctx), h)
             if 0 < t.degree < h.degree:
                 return split(t) + split(h // t)
-        raise AssertionError("equal-degree splitting failed on split input")
+        raise InvariantViolated("equal-degree splitting failed on split input")
 
     return split(g.monic())
 
@@ -807,15 +814,7 @@ def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
     if f.degree == 0:
         return out, True
 
-    denoms = [c.raw.denominator for c in f.coeffs]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // _int_gcd(scale, d)
-    ints = [int(c.raw * scale) for c in f.coeffs]
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, abs(c))
-    ints = [c // g for c in ints]
+    ints = clear_denominators([c.raw for c in f.coeffs])
 
     d0 = _bounded_divisors(abs(ints[0]))
     dl = _bounded_divisors(abs(ints[-1]))
@@ -841,10 +840,12 @@ def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
     return out, complete
 
 
-def _int_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def clear_denominators(fracs) -> list[int]:
+    """The primitive integer vector proportional to a nonzero rational one."""
+    scale = math.lcm(*(fr.denominator for fr in fracs))
+    ints = [int(fr * scale) for fr in fracs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
 
 
 def _bounded_divisors(n: int):

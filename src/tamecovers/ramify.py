@@ -12,6 +12,10 @@ certifies the type without any root search.
 Fibers over a branch point may fail to split within the extension-degree
 bound; such fibers are flagged partial instead of raising, because the
 ramification type itself only needs the critical points.
+
+``expect_cover`` is the one certification step of the constructions: it
+runs the analysis once and raises the caller's error class naming the
+first clause of the claimed type that fails.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from .errors import (
     ExtensionTooSmall,
     Inseparable,
     InvalidType,
+    InvariantViolated,
     MappingMismatch,
+    MixedContexts,
 )
-from .field import ExtField, FieldElem, PrimeField
+from .field import ExtField, FieldElem
 from .poly import (
     INF,
     Poly,
@@ -34,7 +40,6 @@ from .poly import (
     RatFunc,
     evaluate,
     lift_ratfunc,
-    linear_multiplicity,
     map_degree,
     mobius,
     mobius_inverse,
@@ -42,7 +47,6 @@ from .poly import (
     ord_at,
     rational_roots,
     roots,
-    roots_in_ctx,
     synthetic_div,
 )
 
@@ -157,21 +161,16 @@ def _poly_root_points(P: Poly, max_ext_degree: int) -> tuple[list, bool]:
     """Locate roots of P with multiplicities; returns (list, complete).
 
     Entries are (elem, multiplicity, field degree).  Over Q only rational
-    roots are reachable; over an extension field only the coefficient field
-    is searched; over a prime field the canonical tower is walked.
+    roots are reachable; otherwise ``roots`` does the search.
     """
-    ctx = P.ctx
     if P.degree <= 0:
         return [], True
-    if ctx.characteristic == 0:
+    if P.ctx.characteristic == 0:
         rts, scan_ok = rational_roots(P)
         found = [(r, m, 1) for r, m in rts]
         total = sum(m for _, m, _ in found)
         return found, scan_ok and total == P.degree
-    if isinstance(ctx, PrimeField):
-        found = roots(P, max_ext_degree)
-    else:
-        found = [(r, m, r.min_degree()) for r, m in roots_in_ctx(P)]
+    found = roots(P, max_ext_degree)
     total = sum(m for _, m, _ in found)
     return found, total == P.degree
 
@@ -238,11 +237,9 @@ def analyze_cover(
         ram_points.append((INF, e_inf))
     ram_points.sort(key=lambda pe: _pt_sort_key(pe[0]))
 
-    branch_points = sorted(
-        {_BranchKey(evaluate(_lift_for(f, pt), pt)) for pt, _e in ram_points},
-        key=lambda bk: _pt_sort_key(bk.pt),
-    )
-    branch_points = tuple(bk.pt for bk in branch_points)
+    branch_points = tuple(sorted(
+        {evaluate(_lift_for(f, pt), pt) for pt, _e in ram_points}, key=_pt_sort_key
+    ))
 
     p = ctx.characteristic
     tame = p == 0 or all(e % p != 0 for _pt, e in ram_points)
@@ -261,7 +258,8 @@ def analyze_cover(
                 if evaluate(_lift_for(f, pt), pt) == _match_in(b, pt)
             ]
             pad = d - sum(idx)
-            assert pad >= 0, "ramification indices exceed the degree"
+            if pad < 0:
+                raise InvariantViolated("ramification indices exceed the degree")
             classes.append(tuple(sorted(idx, reverse=True) + [1] * pad))
         ram_type = RamType(d, tuple(classes))
 
@@ -275,23 +273,6 @@ def analyze_cover(
         fibers=tuple(fibers),
         ram_type=ram_type,
     )
-
-
-class _BranchKey:
-    """Dedup wrapper so branch points from several fields can share a set."""
-
-    __slots__ = ("pt",)
-
-    def __init__(self, pt: ProjPoint):
-        self.pt = pt
-
-    def __eq__(self, other):
-        return self.pt == other.pt
-
-    def __hash__(self):
-        if self.pt.is_infinite:
-            return hash(None)
-        return hash(self.pt.value)
 
 
 def _lift_for(f: RatFunc, pt: ProjPoint) -> RatFunc:
@@ -308,7 +289,7 @@ def _match_in(b: ProjPoint, pt: ProjPoint) -> ProjPoint:
         return b
     try:
         return ProjPoint(b.value.lift_to(pt.value.ctx))
-    except Exception:
+    except MixedContexts:
         return b
 
 
@@ -317,10 +298,7 @@ def _fiber(f: RatFunc, b: ProjPoint, d: int, max_ext_degree: int) -> Fiber:
     if not b.is_infinite and b.value.ctx is not ctx:
         f = lift_ratfunc(f, b.value.ctx)
         ctx = b.value.ctx
-    if b.is_infinite:
-        P = f.den
-    else:
-        P = f.num - Poly.constant(b.value) * f.den
+    P = f.den if b.is_infinite else f.fiber_poly(b.value)
     points = []
     if P.degree > 0:
         found, _ = _poly_root_points(P, max_ext_degree)
@@ -330,8 +308,50 @@ def _fiber(f: RatFunc, b: ProjPoint, d: int, max_ext_degree: int) -> Fiber:
         points.append((INF, ord_at(f, INF, b), 1))
     points.sort(key=lambda t: _pt_sort_key(t[0]))
     total = sum(m for _pt, m, _k in points)
-    assert total <= d
+    if total > d:
+        raise InvariantViolated(f"fiber over {b} has mass {total} > degree {d}")
     return Fiber(over=b, points=tuple(points), complete=total == d)
+
+
+def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
+                 degree=None) -> RamType:
+    """Certify that f has the claimed ramification, or raise exc.
+
+    ``points`` lists every ramification point as (point, index), with index
+    None where it is not claimed; the finite points are the candidates of a
+    single ``analyze_cover``.  ``images`` lists (point, value) pairs and
+    ``branch`` is the exact branch-point tuple or their number.  The
+    clauses are checked in a fixed order: complete, tame, degree,
+    ramification-point count, index at each point, image of each point,
+    branch points.  The detail of exc names the first failing clause.
+    """
+    points = [(ProjPoint.of(x), e) for x, e in points]
+    a = analyze_cover(f, candidates=[x for x, _e in points], with_fibers=False)
+
+    def fail(clause: str):
+        raise exc(f"{what} failed type verification: {clause}")
+
+    if not a.complete:
+        fail("complete: some critical points lie outside the searched extensions")
+    if not a.tame:
+        fail(f"tame: an index is divisible by p = {f.ctx.characteristic}")
+    if degree is not None and a.degree != degree:
+        fail(f"degree is {a.degree}, expected {degree}")
+    if len(a.ram_points) != len(points):
+        fail(f"{len(a.ram_points)} ramification points, expected {len(points)}")
+    for x, e in points:
+        if e is not None and a.index_at(x) != e:
+            fail(f"index at {x} is {a.index_at(x)}, expected {e}")
+    for x, y in images:
+        value = evaluate(f, x)
+        if value != y:
+            fail(f"image of {x} is {value}, expected {y}")
+    if isinstance(branch, int):
+        if len(a.branch_points) != branch:
+            fail(f"{len(a.branch_points)} branch points, expected {branch}")
+    elif branch is not None and a.branch_points != tuple(branch):
+        fail(f"branch points are {a.branch_points}, expected {tuple(branch)}")
+    return a.ram_type
 
 
 def normalize_cover(f: RatFunc, source_triple, target_triple) -> NormalizedCover:
@@ -349,8 +369,7 @@ def normalize_cover(f: RatFunc, source_triple, target_triple) -> NormalizedCover
     pre = mobius_inverse(mobius_to_std(*src, ctx))
     post = mobius_to_std(*tgt, ctx)
     g = mobius(f, pre=pre, post=post)
-    zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
-    assert evaluate(g, zero) == zero
-    assert evaluate(g, one) == one
-    assert evaluate(g, INF) == INF
+    for pt in (ProjPoint(ctx.zero), ProjPoint(ctx.one), INF):
+        if evaluate(g, pt) != pt:
+            raise InvariantViolated(f"normalized cover does not fix {pt}")
     return NormalizedCover(cover=g)

@@ -169,7 +169,8 @@ def hurwitz_char0(d: int, cycles) -> TupleClassCount:
 def naive_orbit_count(d: int, cycles) -> int:
     """Oracle: enumerate everything, canonicalize under all of S_d."""
     cycles = _validate(d, cycles)
-    assert d <= 5, "naive oracle is for desk-scale degrees"
+    if d > 5:
+        raise DegreeTooLarge(f"the naive oracle is for desk-scale degrees d <= 5, got {d}")
     classes = [list(single_cycles(d, e)) for e in cycles[:-1]]
     last = cycles[-1]
     all_perms = list(permutations(range(d)))

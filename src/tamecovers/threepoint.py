@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidType, KernelDimensionUnexpected, NoSuchCover
+from .errors import InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
 from .field import FieldCtx
 from .poly import INF, Poly, ProjPoint, RatFunc, poly_gcd
-from .ramify import NormalizedCover, analyze_cover, single_cycle_type
+from .ramify import NormalizedCover, expect_cover
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
     da, db, dc = d - e1, d - e3, d - e2
     na, nb, nc = da + 1, db + 1, dc + 1
     ncols = na + nb + nc
-    assert ncols == d + 2
+    if ncols != d + 2:
+        raise InvariantViolated(f"{ncols} unknowns for degree {d}, expected d + 2")
 
     # binomial coefficients of (y-1)^e2, ascending
     binom = [
@@ -135,28 +136,22 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
     scale = B.lc.inverse()
     A, B, C = A * scale, B * scale, C * scale
 
-    ypow = Poly.x(ctx) ** e1
-    num = ypow * A
-    if poly_gcd(A, B).degree > 0 or poly_gcd(num - B, B).degree > 0:
+    num = Poly.x(ctx) ** e1 * A
+    # gcd(num - B, B) = gcd(num, B), and gcd(A, B) divides it
+    if poly_gcd(num, B).degree > 0:
         raise NoSuchCover(
             f"kernel vector shares factors for type ({d}; {e1},{e2},{e3}) over {ctx}"
         )
-    f = RatFunc.make(num, B)
+    f = RatFunc(num, B)  # coprime, and B is monic
 
+    # The indices e1 + e2 + e3 = 2d + 1 use up the Riemann-Hurwitz mass
+    # 2d - 2, so with the images 0, 1, inf -> 0, 1, inf they leave no other
+    # ramification: these clauses already give the type (d; e1, e2, e3).
     zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
-    analysis = analyze_cover(f, candidates=(zero, one), with_fibers=False)
-    want = single_cycle_type(d, (e1, e2, e3))
-    ok = (
-        analysis.complete
-        and analysis.tame
-        and analysis.branch_points == (zero, one, INF)
-        and analysis.ram_type == want
-        and analysis.index_at(zero) == e1
-        and analysis.index_at(one) == e2
-        and analysis.index_at(INF) == e3
+    ram_type = expect_cover(
+        f, NoSuchCover, f"solved map for type ({d}; {e1},{e2},{e3}) over {ctx}",
+        points=((zero, e1), (one, e2), (INF, e3)),
+        images=((zero, zero), (one, one), (INF, INF)),
+        branch=(zero, one, INF),
     )
-    if not ok:
-        raise NoSuchCover(
-            f"solved map fails verification for type ({d}; {e1},{e2},{e3}) over {ctx}"
-        )
-    return NormalizedCover(cover=f, ram_type=want)
+    return NormalizedCover(cover=f, ram_type=ram_type)

@@ -1,13 +1,18 @@
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tamecovers
 from tamecovers.addconst import (
     additive_twist,
     construct_family,
     find_merging_c,
-    hp_transfer,
     lambda_of_c,
 )
-from tamecovers.errors import ExcludedC, FrobeniusCollision, InvalidType
+from tamecovers.errors import ExcludedC, FrobeniusCollision, InvalidType, TypeDegenerates
 from tamecovers.field import make_field
 from tamecovers.poly import Poly, ProjPoint, RatFunc, evaluate, ord_at, roots
 
@@ -134,6 +139,32 @@ def test_twist_exclusions():
         additive_twist(fam.merged, -(rho_p.inverse()))
 
 
+PERTURBED_TWIST = """
+import dataclasses
+from tamecovers.addconst import additive_twist, construct_family
+from tamecovers.errors import TypeDegenerates
+from tamecovers.field import make_field
+m = construct_family(5, 2, 4)[0].merged
+try:
+    additive_twist(dataclasses.replace(m, rho=m.rho + 3), make_field(5).one)
+except TypeDegenerates as exc:
+    print(__debug__, exc.detail)
+"""
+
+
+def test_perturbed_twist_names_the_failed_clause_even_under_O():
+    m = construct_family(5, 2, 4)[0].merged
+    with pytest.raises(TypeDegenerates, match="failed type verification: index at 2 is 1"):
+        additive_twist(dataclasses.replace(m, rho=m.rho + 3), F5.one)
+
+    src = os.path.dirname(os.path.dirname(tamecovers.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", PERTURBED_TWIST], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("False twist by c = 1 failed type verification: index at 2")
+
+
 def test_lambda_of_c_is_a_degree_one_map():
     fam = construct_family(5, 2, 4)[0]
     loc = lambda_of_c(fam.merged)
@@ -175,11 +206,12 @@ def test_find_merging_c_rejects_collapsed_points():
 
 
 def test_hp_transfer_and_lower_bound():
+    # merged-type counts transfer unchanged to the split type, so h_p >= 1
+    # is the lower bound len(families) >= 1
     for p in (5, 7, 11):
         for e3 in range(2, (p - 1) // 2 + 1):
             e4 = p + 1 - e3
             if not e3 < e4 < p:
                 continue
             fams = construct_family(p, e3, e4)
-            assert hp_transfer(p, len(fams)) >= 1
-    assert hp_transfer(5, 0) == 0
+            assert len(fams) >= 1

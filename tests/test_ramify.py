@@ -8,6 +8,7 @@ from tamecovers.errors import (
     Inseparable,
     InvalidType,
     MappingMismatch,
+    NoSuchCover,
 )
 from tamecovers.field import make_field
 from tamecovers.poly import (
@@ -22,6 +23,7 @@ from tamecovers.poly import (
 from tamecovers.ramify import (
     RamType,
     analyze_cover,
+    expect_cover,
     genus_from_type,
     normalize_cover,
     single_cycle_type,
@@ -42,6 +44,36 @@ def test_analyze_squaring_map():
     assert a.branch_points == (ProjPoint(F5.zero), INF)
     assert a.ram_type == RamType(2, ((2,), (2,)))
     assert genus_from_type(a.ram_type) == 0
+
+
+ZERO5, ONE5 = ProjPoint(F5.zero), ProjPoint(F5.one)
+SQUARE_POINTS = ((ZERO5, 2), (INF, 2))
+
+
+@pytest.mark.parametrize("claims, clause", [
+    ({"degree": 3}, "degree is 2, expected 3"),
+    ({"points": ((ZERO5, 2),)}, "2 ramification points, expected 1"),
+    ({"points": ((ZERO5, 3), (INF, 2))}, "index at 0 is 2, expected 3"),
+    ({"images": ((ZERO5, ONE5),)}, "image of 0 is 0, expected 1"),
+    ({"branch": 3}, "2 branch points, expected 3"),
+    ({"branch": (ZERO5, ONE5)}, "branch points are (0, inf), expected (0, 1)"),
+])
+def test_expect_cover_names_the_first_failed_clause(claims, clause):
+    y2 = RatFunc.from_poly(P(F5, 0, 0, 1))
+    kw = {"points": SQUARE_POINTS, **claims}
+    with pytest.raises(NoSuchCover) as info:
+        expect_cover(y2, NoSuchCover, "y^2", **kw)
+    assert info.value.detail == f"y^2 failed type verification: {clause}"
+
+
+def test_expect_cover_returns_the_type_and_checks_tameness():
+    y2 = RatFunc.from_poly(P(F5, 0, 0, 1))
+    got = expect_cover(y2, NoSuchCover, "y^2", SQUARE_POINTS, images=((ZERO5, ZERO5),),
+                       branch=(ZERO5, INF), degree=2)
+    assert got == RamType(2, ((2,), (2,)))
+    F3 = make_field(3)
+    with pytest.raises(NoSuchCover, match="failed type verification: tame"):
+        expect_cover(RatFunc.from_poly(P(F3, 0, 1, 0, 1)), NoSuchCover, "y^3 + y", ((INF, 3),))
 
 
 def test_analyze_three_point_cover_over_F7():
