@@ -164,7 +164,7 @@ def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, F
     if shared.is_infinite or shared.value.is_zero:
         raise TypeDegenerates("merged branch point collided with 0 or infinity")
     normalized = merged / shared.value
-    others = {repr(evaluate(normalized, ctx.zero)), "inf", repr(ProjPoint(ctx.one))}
+    others = {evaluate(normalized, ctx.zero), INF, ProjPoint(ctx.one)}
     if len(others) != 3:
         raise TypeDegenerates("another pair of branch points collided under the twist")
     return normalized, c
@@ -217,7 +217,7 @@ def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
                 f"the two order-3 conditions disagree on rho at a = {a}"
             )
         pts = [actx.zero, one, rho, a]
-        if len({repr(x) for x in pts}) != 4:
+        if len(set(pts)) != 4:
             skipped.append((a, "0, 1, rho, a not pairwise distinct"))
             continue
         c = (a * rho ** e4).inverse()

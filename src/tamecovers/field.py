@@ -1,15 +1,24 @@
-"""Exact fields of computation: F_p, F_{p^n} and the rationals Q.
+"""Exact fields of computation: F_p, F_{p^n} and the rationals Q, and the
+one polynomial kernel of the package.
 
-Elements are immutable and always kept in canonical form:
+A field context owns the raw arithmetic (``_add``, ``_sub``, ``_mul``,
+``_neg``, ``_inv``) on canonical raw values and names its raw ``_zero``
+and ``_one``:
 
 * prime field   -- an integer in [0, p)
 * extension     -- a tuple of n integers in [0, p), ascending powers of the
                    generator t
 * rationals     -- a reduced Fraction (positive denominator)
 
-Elements of different contexts never mix; arithmetic across contexts
-raises MixedContexts.  The only sanctioned conversion is ``lift_to`` from
-F_p into one of its extensions.
+A FieldElem wraps one raw value with its context.  Elements of different
+contexts never mix; arithmetic across contexts raises MixedContexts.  The
+only sanctioned conversion is ``lift_to`` from F_p into one of its
+extensions.
+
+The private ``_p*`` functions are the polynomial kernel: add, sub, mul,
+divmod, monic, gcd, pow-mod and inverse-mod on ascending sequences of raw
+values, generic over the context.  ``poly.Poly`` runs it over its
+coefficient field, and an extension runs it over F_p.
 
 An extension F_{p^n} is F_p[t] modulo a fixed monic irreducible
 polynomial: the first irreducible hit when the non-leading coefficients
@@ -56,123 +65,134 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Plain-integer polynomial arithmetic mod p (ascending coefficient lists).
-# Used for the modulus search and inside extension-field arithmetic, where
-# FieldElem objects would be circular and slow.
+# The polynomial kernel.  A raw polynomial over a context is an ascending
+# sequence of the context's raw values with no trailing zero (empty for the
+# zero polynomial); results are lists.
 
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
+def _trim(ctx: "FieldCtx", c: list) -> list:
+    zero = ctx._zero
+    while c and c[-1] == zero:
         c.pop()
     return c
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def _padd(ctx, a, b) -> list:
+    out = list(a) + [ctx._zero] * (len(b) - len(a))
+    add = ctx._add
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _trim(ctx, out)
+
+
+def _psub(ctx, a, b) -> list:
+    out = list(a) + [ctx._zero] * (len(b) - len(a))
+    sub = ctx._sub
+    for i, c in enumerate(b):
+        out[i] = sub(out[i], c)
+    return _trim(ctx, out)
+
+
+def _pmul(ctx, a, b) -> list:
+    # a may carry trailing zeros (an extension element's raw tuple)
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    zero, add, mul = ctx._zero, ctx._add, ctx._mul
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+        if ai != zero:
+            for j, bj in enumerate(b, i):
+                out[j] = add(out[j], mul(ai, bj))
+    return _trim(ctx, out)
 
 
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai - bi) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _pdivmod(ctx, a, b) -> tuple[list, list]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        k = len(a) - len(b)
-        c = a[-1] * inv_lead % p
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[i + k] = (a[i + k] - c * bi) % p
-        _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
+    rem = list(a)
+    nb = len(b) - 1
+    if len(rem) <= nb:
+        return [], rem
+    mul, sub = ctx._mul, ctx._sub
+    inv = None if b[-1] == ctx._one else ctx._inv(b[-1])
+    quot = [ctx._zero] * (len(rem) - nb)
+    while len(rem) > nb:
+        k = len(rem) - 1 - nb
+        c = rem.pop() if inv is None else mul(rem.pop(), inv)
+        quot[k] = c
+        for i in range(nb):
+            rem[i + k] = sub(rem[i + k], mul(c, b[i]))
+        _trim(ctx, rem)
+    return quot, rem
 
 
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
+def _pmonic(ctx, a):
+    if not a or a[-1] == ctx._one:
+        return a
+    inv, mul = ctx._inv(a[-1]), ctx._mul
+    return [mul(c, inv) for c in a]
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
+def _pgcd(ctx, a, b):
     while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
+        a, b = b, _pdivmod(ctx, a, b)[1]
+    return _pmonic(ctx, a)
 
 
-def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, mod, p)
+def _ppowmod(ctx, base, e: int, mod) -> list:
+    result = [ctx._one]
+    base = _pdivmod(ctx, base, mod)[1]
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
+            result = _pdivmod(ctx, _pmul(ctx, result, base), mod)[1]
         e >>= 1
+        if e:
+            base = _pdivmod(ctx, _pmul(ctx, base, base), mod)[1]
     return result
 
 
-def _pinvmod(a: list[int], mod: list[int], p: int) -> list[int]:
-    # extended Euclid in F_p[t]; mod is irreducible so gcd(a, mod) = 1
+def _pinvmod(ctx, a, mod) -> list:
+    # extended Euclid; mod is irreducible, so gcd(a, mod) = 1 for a != 0
     if not a:
         raise DivisionByZero("inverse of zero")
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [], [1]
+    r0, r1 = mod, a
+    s0, s1 = [], [ctx._one]
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        q, r = _pdivmod(ctx, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+        s0, s1 = s1, _psub(ctx, s0, _pmul(ctx, q, s1))
     if len(r0) != 1:
         raise InvariantViolated("element shares a factor with the irreducible modulus")
-    inv = pow(r0[0], -1, p)
-    return _ptrim([c * inv % p for c in s0])
+    inv, mul = ctx._inv(r0[0]), ctx._mul
+    return [mul(c, inv) for c in s0]
 
 
-def _is_irreducible(f: list[int], p: int) -> bool:
+def _is_irreducible(F: "PrimeField", f: list[int]) -> bool:
     """Deterministic irreducibility test for monic f over F_p (Rabin)."""
-    n = len(f) - 1
+    n, p = len(f) - 1, F.p
     if n < 1:
         return False
     if n == 1:
         return True
     x = [0, 1]
     for r in {q for q in range(2, n + 1) if n % q == 0 and is_prime(q)}:
-        xq = _ppowmod(x, p ** (n // r), f, p)
-        if len(_pgcd(_psub(xq, x, p), f, p)) != 1:
+        xq = _ppowmod(F, x, p ** (n // r), f)
+        if len(_pgcd(F, _psub(F, xq, x), f)) != 1:
             return False
-    return _ppowmod(x, p ** n, f, p) == x
+    return _ppowmod(F, x, p ** n, f) == x
 
 
 def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     """First monic irreducible of degree n, scanning the non-leading
     coefficients (c_{n-1}, ..., c_0) in ascending order, constant fastest."""
-    total = p ** n
-    for idx in range(total):
+    F = make_field(p)
+    for idx in range(p ** n):
         coeffs = [0] * n
         rem = idx
         for pos in range(n):  # pos 0 = constant term, varies fastest
             coeffs[pos] = rem % p
             rem //= p
         f = coeffs + [1]
-        if _is_irreducible(f, p):
+        if _is_irreducible(F, f):
             return tuple(f)
     raise NoModulusFound(f"no irreducible of degree {n} over F_{p}")
 
@@ -181,7 +201,11 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
 # Field contexts
 
 class FieldCtx:
-    """Shared, immutable description of a field; owns the raw arithmetic."""
+    """Shared, immutable description of a field; owns the raw arithmetic.
+
+    ``_zero`` and ``_one`` are the canonical raw zero and one, which each
+    subclass sets.
+    """
 
     kind = ""
     characteristic = 0
@@ -201,9 +225,6 @@ class FieldCtx:
         raise NotImplementedError
 
     def _inv(self, a):
-        raise NotImplementedError
-
-    def _is_zero(self, a):
         raise NotImplementedError
 
     def _pth_root(self, a):
@@ -232,11 +253,11 @@ class FieldCtx:
 
     @property
     def zero(self) -> "FieldElem":
-        return self.from_int(0)
+        return FieldElem(self, self._zero)
 
     @property
     def one(self) -> "FieldElem":
-        return self.from_int(1)
+        return FieldElem(self, self._one)
 
     def elements(self):
         """All field elements in canonical order (finite fields only)."""
@@ -245,6 +266,7 @@ class FieldCtx:
 
 class PrimeField(FieldCtx):
     kind = "prime"
+    _zero, _one = 0, 1
 
     def __init__(self, p: int):
         self.p = p
@@ -270,9 +292,6 @@ class PrimeField(FieldCtx):
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self}")
         return pow(a, -1, self.p)
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _pth_root(self, a):
         return a  # Frobenius is the identity on F_p
@@ -308,13 +327,15 @@ class ExtField(FieldCtx):
         self.modulus = modulus  # ascending, length n+1, monic
         self.characteristic = p
         self.order = p ** n
+        self.prime = make_field(p)  # the kernel runs over F_p
+        self._zero = (0,) * n
+        self._one = (1,) + self._zero[1:]
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"
 
-    def _canon(self, c: list[int]) -> tuple[int, ...]:
-        c = _pmod(c, list(self.modulus), self.p)
-        return tuple(c) + (0,) * (self.n - len(c))
+    def _pad(self, c: list[int]) -> tuple[int, ...]:
+        return tuple(c) + self._zero[len(c):]
 
     def _add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -323,27 +344,24 @@ class ExtField(FieldCtx):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def _mul(self, a, b):
-        return self._canon(_pmul(list(a), list(b), self.p))
+        F = self.prime
+        return self._pad(_pdivmod(F, _pmul(F, a, b), self.modulus)[1])
 
     def _neg(self, a):
         return tuple(-x % self.p for x in a)
 
     def _inv(self, a):
-        if not any(a):
+        if a == self._zero:
             raise DivisionByZero(f"inverse of zero in {self}")
-        inv = _pinvmod(_ptrim(list(a)), list(self.modulus), self.p)
-        return tuple(inv) + (0,) * (self.n - len(inv))
-
-    def _is_zero(self, a):
-        return not any(a)
+        return self._pad(_pinvmod(self.prime, _trim(self.prime, list(a)), self.modulus))
 
     def _pth_root(self, a):
         # a = b^p with b = a^(p^(n-1))
-        raw = _ppowmod(_ptrim(list(a)), self.p ** (self.n - 1), list(self.modulus), self.p)
-        return tuple(raw) + (0,) * (self.n - len(raw))
+        F = self.prime
+        return self._pad(_ppowmod(F, _trim(F, list(a)), self.p ** (self.n - 1), self.modulus))
 
     def from_int(self, k):
-        return FieldElem(self, (k % self.p,) + (0,) * (self.n - 1))
+        return FieldElem(self, (k % self.p,) + self._zero[1:])
 
     @property
     def gen(self) -> "FieldElem":
@@ -400,6 +418,7 @@ class ExtField(FieldCtx):
 class RationalField(FieldCtx):
     kind = "rationals"
     characteristic = 0
+    _zero, _one = Fraction(0), Fraction(1)
 
     def __repr__(self):
         return "Q"
@@ -420,9 +439,6 @@ class RationalField(FieldCtx):
         if a == 0:
             raise DivisionByZero("inverse of zero in Q")
         return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _pth_root(self, a):
         raise CharZero("no Frobenius in characteristic zero")
@@ -451,14 +467,19 @@ class RationalField(FieldCtx):
         return a
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, ext_degree: int = 1) -> FieldCtx:
     """Build (and cache) a field context.
 
-    ``make_field(0)`` is the rationals, ``make_field(p)`` the prime field
-    F_p, and ``make_field(p, n)`` the extension F_{p^n} with its canonical
-    modulus.  Repeated calls with the same arguments return the same object.
+    ``make_field(0)`` is the rationals, ``make_field(p)`` (or
+    ``make_field(p, 1)``) the prime field F_p, and ``make_field(p, n)`` the
+    extension F_{p^n} with its canonical modulus.  Every call naming the
+    same field returns the same object.
     """
+    return _field(p, ext_degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p: int, ext_degree: int) -> FieldCtx:
     if p == 0:
         return RationalField()
     if not is_prime(p):
@@ -468,6 +489,16 @@ def make_field(p: int, ext_degree: int = 1) -> FieldCtx:
     if ext_degree == 1:
         return PrimeField(p)
     return ExtField(p, ext_degree, _smallest_modulus(p, ext_degree))
+
+
+def _embedding(src: FieldCtx, ext: FieldCtx):
+    """The raw map of the canonical embedding of src into ext."""
+    if ext is src:
+        return lambda a: a
+    if isinstance(src, PrimeField) and isinstance(ext, ExtField) and ext.p == src.p:
+        pad = ext._zero[1:]
+        return lambda a: (a,) + pad
+    raise MixedContexts(f"no canonical embedding of {src} into {ext}")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +582,7 @@ class FieldElem:
 
     @property
     def is_zero(self) -> bool:
-        return self.ctx._is_zero(self.raw)
+        return self.raw == self.ctx._zero
 
     def __bool__(self):
         return not self.is_zero
@@ -581,15 +612,7 @@ class FieldElem:
 
     def lift_to(self, ext: FieldCtx) -> "FieldElem":
         """Embed a prime-field element into an extension of the same field."""
-        if ext is self.ctx:
-            return self
-        if (
-            isinstance(self.ctx, PrimeField)
-            and isinstance(ext, ExtField)
-            and ext.p == self.ctx.p
-        ):
-            return FieldElem(ext, (self.raw,) + (0,) * (ext.n - 1))
-        raise MixedContexts(f"no canonical embedding of {self.ctx} into {ext}")
+        return FieldElem(ext, _embedding(self.ctx, ext)(self.raw))
 
     def min_degree(self) -> int:
         """Degree over the prime field of the subfield generated by self."""

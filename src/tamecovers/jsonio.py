@@ -35,8 +35,8 @@ def poly_from_strs(ctx: FieldCtx, strs) -> Poly:
 
 def _cleared_int_strs(rf: RatFunc) -> tuple[list[str], list[str]]:
     """Integer-coefficient scaling of a rational function over Q."""
-    ints = clear_denominators([c.raw for c in rf.num.coeffs + rf.den.coeffs])
-    nn = len(rf.num.coeffs)
+    ints = clear_denominators(rf.num.raw + rf.den.raw)
+    nn = len(rf.num.raw)
     num, den = ints[:nn], ints[nn:]
     if den and den[-1] < 0:
         num = [-v for v in num]

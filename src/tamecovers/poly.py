@@ -1,21 +1,24 @@
 """Univariate polynomials and reduced rational functions over an exact field.
 
-A Poly stores an ascending tuple of FieldElem coefficients whose last entry
-is nonzero; the empty tuple is the zero polynomial.  A RatFunc is always
-reduced (coprime numerator/denominator) with monic denominator, so equality
-of values is equality of representations.  Points of the projective line
-are a ProjPoint: a field element or the point at infinity.
+A Poly stores the ascending tuple of its coefficients' raw values (last
+entry nonzero, empty for the zero polynomial) and runs its arithmetic --
+add, mul, divmod, monic, gcd, pow-mod -- on the polynomial kernel of
+``field``; ``Poly.coeffs`` gives the coefficients as FieldElem values.  A
+RatFunc is always reduced (coprime numerator/denominator) with monic
+denominator, so equality of values is equality of representations.  Points
+of the projective line are a ProjPoint: a field element or the point at
+infinity.
 
-Root finding in characteristic p works in two regimes:
+Root finding in characteristic p rests on one distinct-degree split: the
+roots of minimal degree k over F_p are those of gcd(y^(p^k) - y, .) once
+the roots of smaller degree are peeled off.
 
-* ``roots`` on a prime-field polynomial walks the canonical extension
-  tower F_p, F_{p^2}, ... up to a degree bound, peeling off the factors of
-  each degree with gcd(y^(p^k) - y, .) and extracting their roots inside
-  the canonical field of that degree.
+* ``roots`` on a prime-field polynomial extracts the roots of each degree k
+  up to a bound inside the canonical field F_{p^k} of the tower.
 * ``roots`` on an extension-field polynomial stays inside the coefficient
   field (its subfields included); counting roots across incompatible
-  extensions is handled separately by ``count_roots_by_degree``, which
-  never has to name the roots.
+  extensions is ``count_roots_by_degree``, which never has to name the
+  roots.
 """
 
 from __future__ import annotations
@@ -34,7 +37,21 @@ from .errors import (
     ValueMismatch,
     ZeroDenominator,
 )
-from .field import ExtField, FieldCtx, FieldElem, make_field
+from .field import (
+    ExtField,
+    FieldCtx,
+    FieldElem,
+    _embedding,
+    _padd,
+    _pdivmod,
+    _pgcd,
+    _pmonic,
+    _pmul,
+    _ppowmod,
+    _psub,
+    _trim,
+    make_field,
+)
 
 # fields at most this large are searched for roots by direct scan;
 # bigger ones use deterministic equal-degree splitting
@@ -45,19 +62,24 @@ _FACTOR_TRIAL_LIMIT = 2_000_000
 
 
 class Poly:
-    __slots__ = ("ctx", "coeffs")
+    """A polynomial over a field context.
 
-    def __init__(self, ctx: FieldCtx, coeffs: tuple[FieldElem, ...]):
+    ``raw`` is the ascending tuple of the context's raw coefficient values,
+    last entry nonzero, empty for the zero polynomial; the arithmetic runs
+    the kernel of ``field`` on it.  ``coeffs`` is the same tuple as
+    FieldElem values.
+    """
+
+    __slots__ = ("ctx", "raw")
+
+    def __init__(self, ctx: FieldCtx, raw: tuple):
         # trusted constructor; use from_elems/from_ints to normalize
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.raw = raw
 
     @classmethod
     def from_elems(cls, ctx: FieldCtx, seq) -> "Poly":
-        coeffs = [ctx.elem(c) for c in seq]
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        return cls(ctx, tuple(coeffs))
+        return cls(ctx, tuple(_trim(ctx, [ctx.elem(c).raw for c in seq])))
 
     @classmethod
     def from_ints(cls, ctx: FieldCtx, ints) -> "Poly":
@@ -69,7 +91,7 @@ class Poly:
 
     @classmethod
     def one(cls, ctx) -> "Poly":
-        return cls(ctx, (ctx.one,))
+        return cls(ctx, (ctx._one,))
 
     @classmethod
     def constant(cls, c: FieldElem) -> "Poly":
@@ -77,83 +99,64 @@ class Poly:
 
     @classmethod
     def x(cls, ctx) -> "Poly":
-        return cls(ctx, (ctx.zero, ctx.one))
+        return cls(ctx, (ctx._zero, ctx._one))
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        return tuple(FieldElem(self.ctx, c) for c in self.raw)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.raw) - 1  # -1 for the zero polynomial
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     @property
     def lc(self) -> FieldElem:
         if self.is_zero:
             raise DivisionByZero("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return FieldElem(self.ctx, self.raw[-1])
 
     def _coerce(self, other):
+        """The raw coefficients of a polynomial or constant over self.ctx."""
         if isinstance(other, Poly):
             if other.ctx is not self.ctx:
                 raise MixedContexts(f"mixing polynomials over {self.ctx} and {other.ctx}")
-            return other
+            return other.raw
         if isinstance(other, (FieldElem, int)):
-            return Poly.from_elems(self.ctx, [self.ctx.elem(other)])
+            return tuple(_trim(self.ctx, [self.ctx.elem(other).raw]))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and out[-1].is_zero:
-            out.pop()
-        return Poly(self.ctx, tuple(out))
+        return Poly(self.ctx, tuple(_padd(self.ctx, self.raw, o)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, tuple(-c for c in self.coeffs))
+        return Poly(self.ctx, tuple(map(self.ctx._neg, self.raw)))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Poly(self.ctx, tuple(_psub(self.ctx, self.raw, o)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return Poly(self.ctx, tuple(_psub(self.ctx, o, self.raw)))
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElem, int)):
-            c = self.ctx.elem(other)
-            if c.is_zero:
-                return Poly.zero(self.ctx)
-            return Poly(self.ctx, tuple(a * c for a in self.coeffs))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Poly.zero(self.ctx)
-        zero = self.ctx.zero
-        out = [zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        while out and out[-1].is_zero:
-            out.pop()
-        return Poly(self.ctx, tuple(out))
+        return Poly(self.ctx, tuple(_pmul(self.ctx, self.raw, o)))
 
     __rmul__ = __mul__
 
@@ -173,28 +176,8 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return Poly.zero(self.ctx), self
-        inv_lead = o.lc.inverse()
-        quot = [self.ctx.zero] * (dq + 1)
-        ocs = o.coeffs
-        while len(rem) >= len(ocs):
-            k = len(rem) - len(ocs)
-            c = rem[-1] * inv_lead
-            quot[k] = c
-            for i, b in enumerate(ocs):
-                rem[i + k] = rem[i + k] - c * b
-            while rem and rem[-1].is_zero:
-                rem.pop()
-            if not rem:
-                break
-        while quot and quot[-1].is_zero:
-            quot.pop()
-        return Poly(self.ctx, tuple(quot)), Poly(self.ctx, tuple(rem))
+        q, r = _pdivmod(self.ctx, self.raw, o)
+        return Poly(self.ctx, tuple(q)), Poly(self.ctx, tuple(r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -203,28 +186,22 @@ class Poly:
         return divmod(self, other)[1]
 
     def __call__(self, x) -> FieldElem:
-        x = self.ctx.elem(x)
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        ctx = self.ctx
+        x = ctx.elem(x).raw
+        add, mul = ctx._add, ctx._mul
+        acc = ctx._zero
+        for c in reversed(self.raw):
+            acc = add(mul(acc, x), c)
+        return FieldElem(ctx, acc)
 
     def derivative(self) -> "Poly":
         """Formal derivative; in characteristic p the y^p terms vanish."""
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            out.append(c * i)
-        while out and out[-1].is_zero:
-            out.pop()
-        return Poly(self.ctx, tuple(out))
+        ctx = self.ctx
+        out = [ctx._mul(c, ctx.from_int(i).raw) for i, c in enumerate(self.raw) if i]
+        return Poly(ctx, tuple(_trim(ctx, out)))
 
     def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        if self.lc == self.ctx.one:
-            return self
-        inv = self.lc.inverse()
-        return Poly(self.ctx, tuple(c * inv for c in self.coeffs))
+        return Poly(self.ctx, tuple(_pmonic(self.ctx, self.raw)))
 
     def map_coeffs(self, fn, ctx=None) -> "Poly":
         return Poly.from_elems(ctx or self.ctx, [fn(c) for c in self.coeffs])
@@ -233,11 +210,11 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((id(self.ctx), self.coeffs))
+        return hash((id(self.ctx), self.raw))
 
     def __repr__(self):
         return poly_str(self)
@@ -248,8 +225,9 @@ def poly_str(f: Poly, var: str = "y") -> str:
     if f.is_zero:
         return "0"
     parts = []
+    coeffs = f.coeffs
     for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
+        c = coeffs[k]
         if c.is_zero:
             continue
         cs = repr(c)
@@ -269,16 +247,17 @@ def poly_str(f: Poly, var: str = "y") -> str:
 
 def synthetic_div(f: Poly, r: FieldElem) -> tuple[Poly, FieldElem]:
     """Divide f by (y - r): returns (quotient, remainder value)."""
-    acc = f.ctx.zero
+    ctx = f.ctx
+    r = ctx.elem(r).raw
+    add, mul = ctx._add, ctx._mul
+    acc = ctx._zero
     out = []
-    for c in reversed(f.coeffs):
-        acc = acc * r + c
+    for c in reversed(f.raw):
+        acc = add(mul(acc, r), c)
         out.append(acc)
     rem = out.pop() if out else acc
-    out.reverse()
-    while out and out[-1].is_zero:
-        out.pop()
-    return Poly(f.ctx, tuple(out)), rem
+    out.reverse()  # its last entry is lc(f), so it needs no trimming
+    return Poly(ctx, tuple(out)), FieldElem(ctx, rem)
 
 
 def linear_multiplicity(f: Poly, r: FieldElem) -> int:
@@ -294,34 +273,27 @@ def linear_multiplicity(f: Poly, r: FieldElem) -> int:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd (zero for gcd(0, 0))."""
+    return Poly(a.ctx, tuple(_pgcd(a.ctx, a.raw, a._coerce(b))))
 
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.ctx)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    return Poly(base.ctx, tuple(_ppowmod(base.ctx, base.raw, e, base._coerce(mod))))
 
 
 def pth_root(f: Poly) -> Poly:
     """Inverse of y -> y^p on polynomials whose derivative vanishes."""
-    p = f.ctx.characteristic
+    ctx = f.ctx
+    p = ctx.characteristic
     if p == 0:
         raise CharZero("p-th root needs positive characteristic")
     out = []
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(f.raw):
         if i % p == 0:
-            out.append(c.pth_root())
-        elif not c.is_zero:
+            out.append(ctx._pth_root(c))
+        elif c != ctx._zero:
             raise ValueError("polynomial is not a p-th power")
-    return Poly.from_elems(f.ctx, out)
+    return Poly(ctx, tuple(out))
 
 
 def radical(f: Poly) -> Poly:
@@ -352,7 +324,7 @@ def radical(f: Poly) -> Poly:
 def lift_poly(f: Poly, ext: FieldCtx) -> Poly:
     if f.ctx is ext:
         return f
-    return Poly(ext, tuple(c.lift_to(ext) for c in f.coeffs))
+    return Poly(ext, tuple(map(_embedding(f.ctx, ext), f.raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -734,59 +706,55 @@ def roots(f: Poly, max_ext_degree: int = 6) -> list[tuple[FieldElem, int, int]]:
         out.sort(key=lambda t: (t[2], t[0].sort_key()))
         return out
 
-    p = ctx.characteristic
-    rem = radical(f)
-    x = Poly.x(ctx)
-    xq = x
     out: list[tuple[FieldElem, int, int]] = []
-    for k in range(1, max_ext_degree + 1):
-        if rem.degree <= 0:
-            break
-        xq = pow_mod(xq, p, rem)
-        g = poly_gcd(xq - x, rem)
-        if g.degree > 0:
-            if k == 1:
-                fk = f
-                rts = _linear_roots_split(g)
-            else:
-                ext = make_field(p, k)
-                fk = lift_poly(f, ext)
-                rts = _linear_roots_split(lift_poly(g, ext))
-            batch = [(r, linear_multiplicity(fk, r), k) for r in rts]
-            batch.sort(key=lambda t: t[0].sort_key())
-            out.extend(batch)
-            rem = rem // g
-            if rem.degree > 0:
-                xq = xq % rem
+    for k, g in _distinct_degree(f, max_ext_degree):
+        ext = make_field(ctx.characteristic, k)
+        fk = lift_poly(f, ext)
+        batch = [(r, linear_multiplicity(fk, r), k) for r in _linear_roots_split(lift_poly(g, ext))]
+        batch.sort(key=lambda t: t[0].sort_key())
+        out.extend(batch)
     return out
+
+
+def _distinct_degree(f: Poly, max_k: int):
+    """Distinct-degree split of the roots of f over a finite field.
+
+    Yields (k, g_k) for each k <= max_k that has roots, where g_k is the
+    monic product of y - r over the distinct roots r of f of minimal degree
+    k over F_p.  Each g_k is peeled off the radical before step k + 1, so
+    gcd(y^(p^(k+1)) - y, rest) meets no root of a smaller degree (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 14.2).
+    """
+    p = f.ctx.characteristic
+    rest = radical(f)
+    x = Poly.x(f.ctx)
+    xq = x
+    for k in range(1, max_k + 1):
+        if rest.degree <= 0:
+            return
+        xq = pow_mod(xq, p, rest)
+        g = poly_gcd(xq - x, rest)
+        if g.degree > 0:
+            yield k, g
+            rest = rest // g
+            xq = xq % rest
 
 
 def count_roots_by_degree(f: Poly, max_k: int) -> dict[int, int]:
     """Number of distinct roots of f of each minimal degree over F_p.
 
-    Works over any finite coefficient field: the count of roots inside
-    F_{p^k} is the degree of gcd(f_rad, y^(p^k) - y), and subtracting the
-    counts of proper subfields leaves the roots of minimal degree exactly k.
-    The roots themselves are never constructed.
+    Works over any finite coefficient field: the count of degree k is the
+    degree of the distinct-degree factor g_k.  The roots themselves are
+    never constructed.
     """
     ctx = f.ctx
     if ctx.characteristic == 0:
         raise CharZero("counting roots by field degree needs characteristic p")
     if f.is_zero:
         raise DivisionByZero("root counting on the zero polynomial")
-    p = ctx.characteristic
-    s = radical(f)
-    x = Poly.x(ctx)
-    xq = x % s if s.degree > 0 else x
-    in_field: dict[int, int] = {}
-    minimal: dict[int, int] = {}
-    for k in range(1, max_k + 1):
-        if s.degree > 0:
-            xq = pow_mod(xq, p, s)
-            in_field[k] = poly_gcd(xq - x, s).degree
-        else:
-            in_field[k] = 0
-        minimal[k] = in_field[k] - sum(minimal[j] for j in range(1, k) if k % j == 0)
+    minimal = dict.fromkeys(range(1, max_k + 1), 0)
+    for k, g in _distinct_degree(f, max_k):
+        minimal[k] = g.degree
     return minimal
 
 
@@ -806,15 +774,15 @@ def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
     out: list[tuple[FieldElem, int]] = []
     # strip the root at zero first
     v = 0
-    while v <= f.degree and f.coeffs[v].is_zero:
+    while f.raw[v] == 0:
         v += 1
     if v:
         out.append((ctx.zero, v))
-        f = Poly(ctx, f.coeffs[v:])
+        f = Poly(ctx, f.raw[v:])
     if f.degree == 0:
         return out, True
 
-    ints = clear_denominators([c.raw for c in f.coeffs])
+    ints = clear_denominators(f.raw)
 
     d0 = _bounded_divisors(abs(ints[0]))
     dl = _bounded_divisors(abs(ints[-1]))

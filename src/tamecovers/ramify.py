@@ -30,7 +30,6 @@ from .errors import (
     InvalidType,
     InvariantViolated,
     MappingMismatch,
-    MixedContexts,
 )
 from .field import ExtField, FieldElem
 from .poly import (
@@ -128,15 +127,6 @@ class CoverAnalysis:
                 return e
         return 1
 
-    def partition_over(self, b) -> tuple[int, ...] | None:
-        b = ProjPoint.of(b)
-        if self.ram_type is None:
-            return None
-        for bp, part in zip(self.branch_points, self.ram_type.classes):
-            if bp == b:
-                return part
-        return None
-
 
 @dataclass(frozen=True)
 class NormalizedCover:
@@ -229,17 +219,15 @@ def analyze_cover(
     ram_points: list[tuple[ProjPoint, int]] = []
     for x, _m in located:
         pt = ProjPoint(x)
-        fl = f if x.ctx is ctx else lift_ratfunc(f, x.ctx)
+        fl = lift_ratfunc(f, x.ctx)
         e = ord_at(fl, pt, evaluate(fl, pt))
         ram_points.append((pt, e))
     e_inf = ord_at(f, INF, evaluate(f, INF))
     if e_inf >= 2:
         ram_points.append((INF, e_inf))
     ram_points.sort(key=lambda pe: _pt_sort_key(pe[0]))
-
-    branch_points = tuple(sorted(
-        {evaluate(_lift_for(f, pt), pt) for pt, _e in ram_points}, key=_pt_sort_key
-    ))
+    images = [_image(f, pt) for pt, _e in ram_points]
+    branch_points = tuple(sorted(set(images), key=_pt_sort_key))
 
     p = ctx.characteristic
     tame = p == 0 or all(e % p != 0 for _pt, e in ram_points)
@@ -252,11 +240,7 @@ def analyze_cover(
     if complete:
         classes = []
         for b in branch_points:
-            idx = [
-                e
-                for pt, e in ram_points
-                if evaluate(_lift_for(f, pt), pt) == _match_in(b, pt)
-            ]
+            idx = [e for (_pt, e), v in zip(ram_points, images) if v == b]
             pad = d - sum(idx)
             if pad < 0:
                 raise InvariantViolated("ramification indices exceed the degree")
@@ -275,22 +259,16 @@ def analyze_cover(
     )
 
 
-def _lift_for(f: RatFunc, pt: ProjPoint) -> RatFunc:
+def _image(f: RatFunc, pt: ProjPoint) -> ProjPoint:
+    """f(pt), written in f's own field when it is F_p-rational, so that one
+    branch value reached from points of different field degrees is one
+    branch point."""
     if pt.is_infinite or pt.value.ctx is f.ctx:
-        return f
-    return lift_ratfunc(f, pt.value.ctx)
-
-
-def _match_in(b: ProjPoint, pt: ProjPoint) -> ProjPoint:
-    """The branch point b viewed in the field where pt's image lives."""
-    if b.is_infinite or pt.is_infinite:
-        return b
-    if b.value.ctx is pt.value.ctx:
-        return b
-    try:
-        return ProjPoint(b.value.lift_to(pt.value.ctx))
-    except MixedContexts:
-        return b
+        return evaluate(f, pt)
+    v = evaluate(lift_ratfunc(f, pt.value.ctx), pt)
+    if v.is_infinite or v.value.min_degree() != 1:
+        return v
+    return ProjPoint(f.ctx.from_int(v.value.raw[0]))
 
 
 def _fiber(f: RatFunc, b: ProjPoint, d: int, max_ext_degree: int) -> Fiber:

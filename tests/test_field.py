@@ -20,6 +20,7 @@ QQ = make_field(0)
 def test_make_field_prime():
     assert F5.characteristic == 5
     assert F5.order == 5
+    assert make_field(5, 1) is F5  # one context per field, however it is named
 
 
 def test_make_field_rejects_composite():

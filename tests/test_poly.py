@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from tamecovers.poly import (
     mobius_to_std,
     ord_at,
     poly_gcd,
+    pow_mod,
     pth_root,
     radical,
     rational_roots,
@@ -62,6 +64,38 @@ def test_divmod_and_zero_division():
     assert q == P(QQ, 1, 1) and r == P(QQ, -1)
     with pytest.raises(DivisionByZero):
         divmod(P(QQ, 1), Poly.zero(QQ))
+
+
+def _random_poly(ctx, rng, deg):
+    """deg random coefficients under a random nonzero leading one."""
+    if ctx.characteristic == 0:
+        elems = [QQ.from_fraction(Fraction(k, d)) for k in range(-9, 10) for d in (1, 2, 3)]
+    else:
+        elems = list(ctx.elements())
+    lead = rng.choice([e for e in elems if not e.is_zero])
+    return Poly.from_elems(ctx, [rng.choice(elems) for _ in range(deg)] + [lead])
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (5, 2), (3, 3), (0, 1)])
+def test_kernel_identities(p, n):
+    ctx = make_field(p, n)
+    rng = random.Random(100 * p + n)
+    for _ in range(12):
+        a = _random_poly(ctx, rng, rng.randrange(0, 9))
+        b = _random_poly(ctx, rng, rng.randrange(0, 5))
+        q, r = divmod(a, b)
+        assert a == q * b + r and r.degree < b.degree
+        g = _random_poly(ctx, rng, rng.randrange(1, 3))
+        u, v = a * g, b * g
+        h = poly_gcd(u, v)
+        assert h.lc == ctx.one and (u % h).is_zero and (v % h).is_zero and (h % g).is_zero
+        e = rng.randrange(0, 20)
+        assert pow_mod(a, e, v) == a ** e % v
+    if p:
+        for x in ctx.elements():
+            if not x.is_zero:
+                assert x * x.inverse() == ctx.one
+                assert x.pth_root() ** p == x
 
 
 def test_derivative_linearity_and_product_rule():

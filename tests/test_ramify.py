@@ -86,6 +86,20 @@ def test_analyze_three_point_cover_over_F7():
     assert a.index_at(INF) == 3
 
 
+def test_branch_value_reached_from_two_field_degrees_is_one_branch_point():
+    # q^2 c^2 over F_13: q has roots in F_{13^2}, c in F_{13^3}, and every
+    # one of the five double roots maps to 0
+    F13 = make_field(13)
+    q = P(F13, 1, 3, 1)
+    c = P(F13, 1, 0, 4, 1)
+    a = analyze_cover(RatFunc.from_poly(q * q * c * c))
+    assert a.complete
+    assert len(a.branch_points) == 6
+    assert a.branch_points[0] == ProjPoint(F13.zero)
+    simple = (2,) + (1,) * 8
+    assert a.ram_type == RamType(10, ((2, 2, 2, 2, 2),) + (simple,) * 4 + ((10,),))
+
+
 def test_analyze_rejects_inseparable():
     with pytest.raises(Inseparable):
         analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 0, 0, 0, 1)))
