@@ -26,6 +26,7 @@ from .multconst import (
     lambda_map,
     lift,
     p_hurwitz_4pt,
+    supersingular_values,
 )
 from .poly import (
     INF,

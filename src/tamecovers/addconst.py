@@ -236,6 +236,5 @@ def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
         raise NoValidRoot(
             f"both roots of the quadratic are degenerate for p = {p}, e3 = {e3}: {skipped}"
         )
-    out.sort(key=lambda fam: (fam.a.min_degree(), fam.a.sort_key()))
-    return out
+    return out  # in the order of roots: (field degree of a, canonical order)
 

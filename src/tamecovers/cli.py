@@ -17,10 +17,8 @@ import sys
 from . import addconst, jsonio, multconst, symhurwitz, threepoint
 from .errors import DomainError, InvalidMu, MixedContexts, UsageError
 from .field import FieldCtx, is_prime, make_field
-from .poly import lift_ratfunc
+from .poly import DEFAULT_EXT, lift_ratfunc
 from .threepoint import ThreePointSpec, solve_three_point
-
-DEFAULT_EXT = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,19 +46,20 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tamecovers", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, ext=False, **kw):
         sp = sub.add_parser(name, **kw)
         sp.add_argument("--out", help="also write the JSON document to this path")
         sp.add_argument("--pretty", action="store_true", help="indent the output")
-        sp.add_argument("--ext", type=int, default=DEFAULT_EXT,
-                        help="maximum extension degree searched for roots")
+        if ext:
+            sp.add_argument("--ext", type=int, default=DEFAULT_EXT,
+                            help="maximum extension degree searched for roots")
         return sp
 
     sp = add("hurwitz-char0", help="characteristic-zero count by tuple enumeration")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--cycles", type=_cycles, required=True)
 
-    sp = add("hurwitz-p", help="p-Hurwitz number of (d; e1,e2,e3,p-1), with checks")
+    sp = add("hurwitz-p", ext=True, help="p-Hurwitz number of (d; e1,e2,e3,p-1), with checks")
     sp.add_argument("--p", type=int)
     sp.add_argument("--cycles", type=_cycles, required=True)
     sp.add_argument("--with-pminus1", action="store_true",
@@ -71,7 +70,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, required=True, help="prime, or 0 for Q")
     sp.add_argument("--cycles", type=_cycles, required=True)
 
-    sp = add("lambda-map", help="the fourth-branch-point map of a 4-point type")
+    sp = add("lambda-map", ext=True, help="the fourth-branch-point map of a 4-point type")
     sp.add_argument("--p", type=int)
     sp.add_argument("--cycles", type=_cycles, required=True)
     sp.add_argument("--sweep", help="range syntax p=5..13")
@@ -87,7 +86,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--mu", required=True)
 
-    sp = add("fiber-count", help="count covers over one lambda value")
+    sp = add("fiber-count", ext=True, help="count covers over one lambda value")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--cycles", type=_cycles, required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
@@ -107,7 +106,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--cycles", type=_cycles, required=True, help="e3,e4")
     sp.add_argument("--c", required=True)
 
-    sp = add("verify", help="run a verification suite")
+    sp = add("verify", ext=True, help="run a verification suite")
     sp.add_argument("--suite", required=True,
                     choices=["paper-examples", "formulas", "roundtrip", "oracle"])
     sp.add_argument("--p", type=int)
@@ -138,16 +137,20 @@ def _four_type(p: int, cycles, with_pminus1: bool) -> multconst.FourPointType:
     raise UsageError("--cycles must have 3 entries (or 4 ending in p-1)")
 
 
+def _supersingular_strs(L: multconst.LambdaMap, ext: int) -> list[str]:
+    return [jsonio.elem_str(s) for s in multconst.supersingular_values(L, ext)]
+
+
 def _cmd_hurwitz_p(args, p: int) -> dict:
     t = _four_type(p, args.cycles, args.with_pminus1)
     h_p = multconst.p_hurwitz_4pt(p, t)
     if h_p == 0:
         return {"h_p": 0, "degree_check": None, "supersingular": []}
-    L = multconst.lambda_map(make_field(p), t, args.ext)
+    L = multconst.lambda_map(make_field(p), t)
     return {
         "h_p": h_p,
         "degree_check": L.degree,
-        "supersingular": [jsonio.elem_str(s) for s in L.supersingular],
+        "supersingular": _supersingular_strs(L, args.ext),
     }
 
 
@@ -164,7 +167,7 @@ def _cmd_lambda_map(args, p: int) -> dict:
     if len(args.cycles) != 3:
         raise UsageError("--cycles must have exactly 3 entries")
     t = multconst.FourPointType(p, *args.cycles)
-    L = multconst.lambda_map(make_field(p), t, args.ext)
+    L = multconst.lambda_map(make_field(p), t)
     num, den = jsonio.ratfunc_strs(L.map)
     return {
         "p": p,
@@ -173,7 +176,7 @@ def _cmd_lambda_map(args, p: int) -> dict:
         "lambda_num": num,
         "lambda_den": den,
         "degree": L.degree,
-        "supersingular": [jsonio.elem_str(s) for s in L.supersingular],
+        "supersingular": _supersingular_strs(L, args.ext),
     }
 
 
@@ -202,7 +205,7 @@ def _cmd_contract(args) -> dict:
 def _cmd_fiber_count(args) -> dict:
     p = args.p
     t = multconst.FourPointType(p, *args.cycles)
-    L = multconst.lambda_map(make_field(p), t, args.ext)
+    L = multconst.lambda_map(make_field(p), t)
     lam0 = jsonio.parse_cli_elem(p, args.lam)
     count = multconst.count_covers_at(L, lam0, args.ext)
     return {
@@ -311,10 +314,9 @@ def _suite_paper_examples(p: int, ext: int) -> list[dict]:
     QQ = make_field(0)
 
     t_a = multconst.FourPointType(p, 2, 2, p - 3)
-    L_a = multconst.lambda_map(ctx, t_a, ext)
+    L_a = multconst.lambda_map(ctx, t_a)
     checks.append(_check(f"example-a-degree-p{p}", L_a.degree, p - 1))
-    checks.append(_check(f"example-a-supersingular-p{p}",
-                         [jsonio.elem_str(s) for s in L_a.supersingular], []))
+    checks.append(_check(f"example-a-supersingular-p{p}", _supersingular_strs(L_a, ext), []))
     checks.append(_check(f"example-a-bad-degree-p{p}",
                          multconst.bad_degree(p, (2, 2, p - 3)).bad, 0))
 
@@ -322,11 +324,10 @@ def _suite_paper_examples(p: int, ext: int) -> list[dict]:
     num, den = jsonio.ratfunc_strs(h_q.cover)
     checks.append(_check("example-b-cover-Q", [num, den], [["0", "0", "0", "1"], ["-2", "3"]]))
     t_b = multconst.FourPointType(p, 3, 2, p - 2)
-    L_b = multconst.lambda_map(ctx, t_b, ext)
+    L_b = multconst.lambda_map(ctx, t_b)
     checks.append(_check(f"example-b-degree-p{p}", L_b.degree, p - 2))
     two_thirds = ctx.from_int(2) / ctx.from_int(3)
-    checks.append(_check(f"example-b-supersingular-p{p}",
-                         [jsonio.elem_str(s) for s in L_b.supersingular],
+    checks.append(_check(f"example-b-supersingular-p{p}", _supersingular_strs(L_b, ext),
                          [jsonio.elem_str(two_thirds)]))
     b_first = multconst.min_first(t_b.d, (3, 2, p - 2))
     checks.append(_check(f"example-b-bad-degree-p{p}", multconst.bad_degree(p, b_first).bad, p))
@@ -341,14 +342,14 @@ def _suite_paper_examples(p: int, ext: int) -> list[dict]:
     return checks
 
 
-def _suite_formulas(p_max: int, ext: int) -> list[dict]:
+def _suite_formulas(p_max: int) -> list[dict]:
     checks = []
     for p in _primes_upto(p_max):
         ctx = make_field(p)
         mismatches = []
         types = _admissible_types(p)
         for t in types:
-            L = multconst.lambda_map(ctx, t, 1)
+            L = multconst.lambda_map(ctx, t)
             want = (3 * p - 1 - t.E) // 2
             if L.degree != want:
                 mismatches.append([t.e1, t.e2, t.e3])
@@ -381,7 +382,7 @@ def _suite_formulas(p_max: int, ext: int) -> list[dict]:
     return checks
 
 
-def _suite_roundtrip(ps: list[int], ext: int) -> list[dict]:
+def _suite_roundtrip(ps: list[int]) -> list[dict]:
     checks = []
     for p in ps:
         ctx = make_field(p)
@@ -389,7 +390,7 @@ def _suite_roundtrip(ps: list[int], ext: int) -> list[dict]:
         failures = []
         trips = 0
         for t in _admissible_types(p):
-            L = multconst.lambda_map(ctx, t, 1)
+            L = multconst.lambda_map(ctx, t)
             h_l = lift_ratfunc(L.base.cover, ext2)
             done = 0
             for mu in ext2.elements():
@@ -454,7 +455,7 @@ def _suite_oracle(d_max: int, ext: int) -> list[dict]:
     checks.append(_check("dedup-vs-naive-d<=5", naive_failures, []))
 
     ctx = make_field(5)
-    L = multconst.lambda_map(ctx, multconst.FourPointType(5, 3, 2, 3), ext)
+    L = multconst.lambda_map(ctx, multconst.FourPointType(5, 3, 2, 3))
     ext2 = make_field(5, 2)
     fiber_failures = []
     for lam0 in ext2.elements():
@@ -476,9 +477,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if suite == "paper-examples":
         checks = _suite_paper_examples(args.p or 5, args.ext)
     elif suite == "formulas":
-        checks = _suite_formulas(args.p_max, args.ext)
+        checks = _suite_formulas(args.p_max)
     elif suite == "roundtrip":
-        checks = _suite_roundtrip([args.p] if args.p else [5, 7], args.ext)
+        checks = _suite_roundtrip([args.p] if args.p else [5, 7])
     else:
         checks = _suite_oracle(args.d_max, args.ext)
     passed = sum(1 for c in checks if c["pass"])

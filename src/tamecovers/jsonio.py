@@ -69,6 +69,11 @@ def ctx_from_json(doc: dict) -> FieldCtx:
     modulus = doc.get("ext_modulus")
     if modulus is None:
         return make_field(char)
+    if not (isinstance(modulus, list) and len(modulus) >= 3
+            and all(type(c) is int for c in modulus)):
+        raise UsageError(
+            f"cover file ext_modulus {modulus!r} is not a list of at least 3 integers"
+        )
     ctx = make_field(char, len(modulus) - 1)
     if tuple(modulus) != ctx.modulus:
         raise UsageError(

@@ -15,7 +15,12 @@ number of 4-point covers per branch locus (the p-Hurwitz number), with the
 closed form (3p - 1 - E)/2, E = e1+e2+e3.  ``lambda_map`` builds the map
 and refuses to return anything whose computed degree disagrees with the
 closed form.  The finitely many lambda values where the fiber count drops
-(the supersingular locus) are the images r^p of the poles r of h.
+(the supersingular locus) are the images r^p of the poles r of h; since h
+has F_p coefficients, Frobenius permutes its poles, so the locus is the
+zero set of h.den.  ``is_supersingular_value`` tests a value against it
+exactly, with no search bound, and ``supersingular_values`` names the
+points of the locus up to a bound on their field degree, for the commands
+that print them.
 
 ``count_covers_at`` is the independent oracle: it counts the mu-fiber over
 a given lambda inside the extension tower by degree bookkeeping alone,
@@ -38,8 +43,9 @@ from .errors import (
     NotRamifiedHere,
     WrongIndex,
 )
-from .field import ExtField, FieldCtx, FieldElem, PrimeField, is_prime
+from .field import FieldCtx, FieldElem, PrimeField, is_prime
 from .poly import (
+    DEFAULT_EXT,
     INF,
     Poly,
     ProjPoint,
@@ -132,10 +138,9 @@ class LambdaMap:
     base: NormalizedCover  # the 3-point cover h of the tilde type
     map: RatFunc
     degree: int
-    supersingular: tuple[FieldElem, ...]
 
 
-def lambda_map(ctx: FieldCtx, t: FourPointType, max_ext_degree: int = 6) -> LambdaMap:
+def lambda_map(ctx: FieldCtx, t: FourPointType) -> LambdaMap:
     """Build mu -> mu^p (1 - h(mu)) / (mu^p - h(mu)) and check its degree."""
     if not isinstance(ctx, PrimeField) or ctx.p != t.p:
         raise MixedContexts(f"lambda_map needs the prime field F_{t.p}, got {ctx}")
@@ -156,16 +161,17 @@ def lambda_map(ctx: FieldCtx, t: FourPointType, max_ext_degree: int = 6) -> Lamb
             f"deg(lambda) = {deg}, closed form {expected}, divisor count {via_divisor}"
             f" for type {t}"
         )
-    ss = [r.frobenius() for r, _m, _k in roots(h.cover.den, max_ext_degree)]
-    ss.sort(key=lambda e: (e.min_degree(), e.sort_key()))
-    return LambdaMap(
-        p=p,
-        four_type=t,
-        base=h,
-        map=lam,
-        degree=deg,
-        supersingular=tuple(ss),
-    )
+    return LambdaMap(p=p, four_type=t, base=h, map=lam, degree=deg)
+
+
+def supersingular_values(L: LambdaMap, max_ext_degree: int = DEFAULT_EXT) -> tuple[FieldElem, ...]:
+    """The supersingular lambda values of field degree <= max_ext_degree,
+    ordered by (degree, canonical element order).
+
+    They are the images r^p of the poles r of h, which are the poles
+    themselves: Frobenius permutes the roots of h.den within each degree.
+    """
+    return tuple(r for r, _m, _k in roots(L.base.cover.den, max_ext_degree))
 
 
 @dataclass(frozen=True)
@@ -312,11 +318,11 @@ def _fiber_poly(L: LambdaMap, lam0: FieldElem) -> Poly:
     return lift_ratfunc(L.map, lam0.ctx).fiber_poly(lam0)
 
 
-def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = 6) -> int:
+def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = DEFAULT_EXT) -> int:
     """Number of valid mu with lambda(mu) = lam0 in the extension tower.
 
-    Counts distinct roots of the fiber polynomial whose degree over F_p is
-    within the bound, then removes the roots excluded by the construction.
+    Counts the distinct roots of the fiber polynomial whose degree over F_p
+    is within the bound, leaving out the roots excluded by the construction.
     """
     lam0 = _finite(lam0)
     if lam0 is None:
@@ -327,14 +333,9 @@ def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = 6) -> int:
     if lam0.is_zero or lam0 == ctx0.one:
         raise BranchValueExcluded(f"lambda = {lam0} is one of the fixed branch values")
 
-    P = _fiber_poly(L, lam0)
-    total = sum(count_roots_by_degree(P, max_ext_degree).values())
-    excl = lift_poly(_exclusion_poly(L.base.cover), ctx0)
-    bad_poly = poly_gcd(radical(P), excl)
-    bad = 0
-    if bad_poly.degree > 0:
-        bad = sum(count_roots_by_degree(bad_poly, max_ext_degree).values())
-    return total - bad
+    rad = radical(_fiber_poly(L, lam0))
+    valid = rad // poly_gcd(rad, lift_poly(_exclusion_poly(L.base.cover), ctx0))
+    return sum(count_roots_by_degree(valid, max_ext_degree).values())
 
 
 def is_critical_value(L: LambdaMap, lam0) -> bool:
@@ -347,24 +348,12 @@ def is_critical_value(L: LambdaMap, lam0) -> bool:
 
 
 def is_supersingular_value(L: LambdaMap, lam0) -> bool:
+    """Whether lam0 lies in the supersingular locus: h.den, lifted into the
+    field of lam0, vanishes there.  No search bound is involved."""
     lam0 = _finite(lam0)
     if lam0 is None:
         return False
-    for s in L.supersingular:
-        if _same_algebraic_point(s, lam0):
-            return True
-    return False
-
-
-def _same_algebraic_point(a: FieldElem, b: FieldElem) -> bool:
-    """Equality across the canonical tower when one side is prime-field."""
-    if a.ctx is b.ctx:
-        return a == b
-    if isinstance(a.ctx, PrimeField) and isinstance(b.ctx, ExtField):
-        return a.ctx.p == b.ctx.p and a.lift_to(b.ctx) == b
-    if isinstance(b.ctx, PrimeField) and isinstance(a.ctx, ExtField):
-        return b.ctx.p == a.ctx.p and b.lift_to(a.ctx) == a
-    return False
+    return lift_poly(L.base.cover.den, lam0.ctx)(lam0).is_zero
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ Root finding in characteristic p rests on one distinct-degree split: the
 roots of minimal degree k over F_p are those of gcd(y^(p^k) - y, .) once
 the roots of smaller degree are peeled off.
 
-* ``roots`` on a prime-field polynomial extracts the roots of each degree k
-  up to a bound inside the canonical field F_{p^k} of the tower.
-* ``roots`` on an extension-field polynomial stays inside the coefficient
-  field (its subfields included); counting roots across incompatible
-  extensions is ``count_roots_by_degree``, which never has to name the
-  roots.
+* ``roots`` names the roots of each degree k and splits them down to linear
+  factors: for a prime-field polynomial those with k up to a bound, inside
+  the canonical field F_{p^k} of the tower; for a polynomial over F_{p^n}
+  those with k dividing n, inside F_{p^n} itself.
+* ``count_roots_by_degree`` counts the roots of each degree k across the
+  whole tower, over any finite coefficient field, and never has to name
+  them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ from .field import (
     _trim,
     make_field,
 )
+
+# default bound on the extension degree k of the fields F_{p^k} searched
+DEFAULT_EXT = 6
 
 # fields at most this large are searched for roots by direct scan;
 # bigger ones use deterministic equal-degree splitting
@@ -528,31 +532,24 @@ def map_degree(f: RatFunc) -> int:
     return max(f.num.degree, f.den.degree)
 
 
-def reciprocal_arg(f: RatFunc) -> RatFunc:
-    """The rational function f(1/y)."""
-    m = max(f.num.degree, f.den.degree)
-    ctx = f.ctx
-
-    def rev(p: Poly) -> Poly:
-        cs = list(p.coeffs) + [ctx.zero] * (m + 1 - len(p.coeffs))
-        return Poly.from_elems(ctx, list(reversed(cs)))
-
-    return RatFunc.make(rev(f.num), rev(f.den))
-
-
 def ord_at(f: RatFunc, x, target) -> int:
     """Multiplicity of x as a solution of f = target.
 
     This is the local ramification-index datum: the valuation of
     f - target at x (of the denominator when target is infinite), with the
-    point at infinity handled through the substitution y -> 1/y.
+    point at infinity read off the degrees: f - t = fiber_poly(t) / den
+    vanishes there to order deg den - deg fiber_poly(t), and f has a pole
+    there of order deg num - deg den.
     """
     x = ProjPoint.of(x)
     target = ProjPoint.of(target)
     if evaluate(f, x) != target:
         raise ValueMismatch(f"f({x}) is not {target}")
     if x.is_infinite:
-        return ord_at(reciprocal_arg(f), ProjPoint(f.ctx.zero), target)
+        if target.is_infinite:
+            return f.num.degree - f.den.degree
+        P = f.fiber_poly(target.value)
+        return 0 if P.is_zero else f.den.degree - P.degree  # 0 for a constant f
     if target.is_infinite:
         return linear_multiplicity(f.den, x.value)
     return linear_multiplicity(f.fiber_poly(target.value), x.value)
@@ -638,23 +635,6 @@ def mobius(f: RatFunc, pre=None, post=None) -> RatFunc:
 # ---------------------------------------------------------------------------
 # Root finding
 
-def roots_in_ctx(f: Poly) -> list[tuple[FieldElem, int]]:
-    """Roots of f lying in its own (finite) coefficient field."""
-    ctx = f.ctx
-    if ctx.characteristic == 0:
-        raise CharZero("use rational_roots over Q")
-    if f.is_zero:
-        raise DivisionByZero("root finding on the zero polynomial")
-    s = radical(f)
-    q = ctx.order
-    x = Poly.x(ctx)
-    g = poly_gcd(pow_mod(x, q, s) - x, s)
-    rts = _linear_roots_split(g)
-    out = [(r, linear_multiplicity(f, r)) for r in rts]
-    out.sort(key=lambda t: t[0].sort_key())
-    return out
-
-
 def _linear_roots_split(g: Poly) -> list[FieldElem]:
     """All roots of a squarefree monic g that splits completely over its field."""
     ctx = g.ctx
@@ -687,28 +667,30 @@ def _linear_roots_split(g: Poly) -> list[FieldElem]:
     return split(g.monic())
 
 
-def roots(f: Poly, max_ext_degree: int = 6) -> list[tuple[FieldElem, int, int]]:
-    """Roots of f in the extensions F_{p^k}, k <= max_ext_degree.
+def roots(f: Poly, max_ext_degree: int = DEFAULT_EXT) -> list[tuple[FieldElem, int, int]]:
+    """Roots of f, each once, as (root, multiplicity in f, k), ordered by
+    (k, canonical element order), where k is the minimal field degree of
+    the root over F_p.
 
-    For a prime-field polynomial the roots are reported inside the canonical
-    fields of the tower, each once, tagged with its minimal field degree k
-    and its multiplicity in f, ordered by (k, canonical element order).
-    For an extension-field polynomial the search stays inside the
-    coefficient field and its subfields.
+    Over F_p the roots with k <= max_ext_degree are named inside the
+    canonical fields F_{p^k} of the tower.  Over F_{p^n} the roots are
+    those lying in F_{p^n}, the ones whose k divides n, and the bound is
+    not used.
     """
     ctx = f.ctx
     if ctx.characteristic == 0:
         raise CharZero("roots over Q are limited to rational_roots")
     if f.is_zero:
         raise DivisionByZero("root finding on the zero polynomial")
-    if isinstance(ctx, ExtField):
-        out = [(r, m, r.min_degree()) for r, m in roots_in_ctx(f)]
-        out.sort(key=lambda t: (t[2], t[0].sort_key()))
-        return out
-
+    n = ctx.n if isinstance(ctx, ExtField) else None
     out: list[tuple[FieldElem, int, int]] = []
-    for k, g in _distinct_degree(f, max_ext_degree):
-        ext = make_field(ctx.characteristic, k)
+    for k, g in _distinct_degree(f, n or max_ext_degree):
+        if n is None:
+            ext = make_field(ctx.characteristic, k)
+        elif n % k == 0:
+            ext = ctx
+        else:
+            continue  # roots of degree k lie outside F_{p^n}
         fk = lift_poly(f, ext)
         batch = [(r, linear_multiplicity(fk, r), k) for r in _linear_roots_split(lift_poly(g, ext))]
         batch.sort(key=lambda t: t[0].sort_key())

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .field import ExtField, FieldElem
 from .poly import (
+    DEFAULT_EXT,
     INF,
     Poly,
     ProjPoint,
@@ -167,7 +168,7 @@ def _poly_root_points(P: Poly, max_ext_degree: int) -> tuple[list, bool]:
 
 def analyze_cover(
     f: RatFunc,
-    max_ext_degree: int = 6,
+    max_ext_degree: int = DEFAULT_EXT,
     candidates=(),
     with_fibers: bool = True,
     require_complete: bool = False,

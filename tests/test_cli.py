@@ -3,7 +3,9 @@ import json
 import subprocess
 import sys
 
-from tamecovers.cli import run
+import pytest
+
+from tamecovers.cli import build_parser, run
 
 
 def invoke(argv):
@@ -97,6 +99,34 @@ def test_fiber_count_extension_lambda():
     )
     assert doc["count"] == 3
     assert doc["supersingular"] is False
+
+
+def test_fiber_count_supersingular_flag_ignores_ext():
+    # lambda0 = t+2 is the image of a pole of h of degree 2 over F_5; the
+    # flag tests h.den at lambda0, so --ext 1 does not hide it
+    argv = ["fiber-count", "--p", "5", "--cycles", "3,4,3", "--lambda", "1*t+2"]
+    assert invoke_json(argv + ["--ext", "1"])["supersingular"] is True
+    assert invoke_json(argv)["supersingular"] is True
+
+
+def test_ext_only_on_commands_that_read_it():
+    sub = build_parser()._subparsers._group_actions[0]
+    with_ext = {name for name, sp in sub.choices.items() if "--ext" in sp._option_string_actions}
+    assert with_ext == {"hurwitz-p", "lambda-map", "fiber-count", "verify"}
+    code, _out, err = invoke(["three-point", "--p", "7", "--cycles", "3,2,2", "--ext", "2"])
+    assert code == 1 and "--ext" in err
+
+
+@pytest.mark.parametrize("modulus", [[3, 1], [1], [], 5, "3,0,1", [3, 0, "1"]])
+def test_contract_rejects_malformed_ext_modulus(tmp_path, modulus):
+    path = tmp_path / "c.json"
+    cover = {"char": 7, "ext_modulus": modulus, "num": ["0", "1"], "den": ["1"], "type": []}
+    path.write_text(json.dumps(cover), encoding="utf-8")
+    code, out, err = invoke(
+        ["contract", "--p", "7", "--cover", str(path), "--lambda", "2", "--mu", "4"]
+    )
+    assert code == 1 and out == ""
+    assert "ext_modulus" in err and "Traceback" not in err
 
 
 def test_bad_degree_output():

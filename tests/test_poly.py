@@ -156,6 +156,24 @@ def test_ord_at_three_point_cover():
         ord_at(h, QQ.one, QQ.zero)
 
 
+@pytest.mark.parametrize("ctx", [F7, QQ], ids=["F7", "Q"])
+def test_ord_at_infinity_is_ord_at_zero_of_reciprocal(ctx):
+    inv = (0, 1, 1, 0)  # y -> 1/y
+    rng = random.Random(41)
+    for _ in range(40):
+        num, den = (
+            Poly.from_ints(ctx, [rng.randrange(-3, 4) for _ in range(rng.randrange(1, 6))])
+            for _ in range(2)
+        )
+        if num.is_zero or den.is_zero:
+            continue
+        f = RatFunc.make(num, den)
+        t = evaluate(f, INF)
+        assert ord_at(f, INF, t) == ord_at(mobius(f, pre=inv), ProjPoint(ctx.zero), t)
+    c = ctx.from_int(3)
+    assert ord_at(RatFunc.from_poly(Poly.constant(c)), INF, c) == 0
+
+
 def test_map_degree():
     assert map_degree(RatFunc.make(P(QQ, 0, 0, 0, 1), P(QQ, -2, 3))) == 3
     assert map_degree(RatFunc.make(P(F5, 0, 0, 0, 1, 2), P(F5, -3, 1))) == 4
@@ -259,6 +277,21 @@ def test_roots_in_extension_ctx():
     got = roots(f, 2)
     assert [(m, k) for _r, m, k in got] == [(1, 2), (1, 2)]
     assert all(r.ctx is F25 for r, _m, _k in got)
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2)])
+def test_roots_over_extension_match_brute_force(p, n):
+    ctx = make_field(p, n)
+    elems = list(ctx.elements())
+    rng = random.Random(10 * p + n)
+    for _ in range(6):
+        f = Poly.from_elems(ctx, [rng.choice(elems) for _ in range(4)] + [ctx.one])
+        # planted roots, some repeated: one in F_p, two anywhere in the field
+        for r in (ctx.from_int(rng.randrange(p)), rng.choice(elems), rng.choice(elems)):
+            f = f * Poly.from_elems(ctx, [-r, ctx.one]) ** rng.randrange(1, 4)
+        want = [(r, linear_multiplicity(f, r), r.min_degree()) for r in elems if f(r).is_zero]
+        want.sort(key=lambda t: (t[2], t[0].sort_key()))
+        assert roots(f) == want
 
 
 def test_count_roots_by_degree():
