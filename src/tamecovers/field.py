@@ -18,7 +18,8 @@ extensions.
 The private ``_p*`` functions are the polynomial kernel: add, sub, mul,
 divmod, monic, gcd, pow-mod and inverse-mod on ascending sequences of raw
 values, generic over the context.  ``poly.Poly`` runs it over its
-coefficient field, and an extension runs it over F_p.
+coefficient field, and an extension runs it over F_p for its inverse,
+its p-th root and the search for its modulus.
 
 An extension F_{p^n} is F_p[t] modulo a fixed monic irreducible
 polynomial: the first irreducible hit when the non-leading coefficients
@@ -93,7 +94,6 @@ def _psub(ctx, a, b) -> list:
 
 
 def _pmul(ctx, a, b) -> list:
-    # a may carry trailing zeros (an extension element's raw tuple)
     if not a or not b:
         return []
     zero, add, mul = ctx._zero, ctx._add, ctx._mul
@@ -319,6 +319,15 @@ class PrimeField(FieldCtx):
 
 
 class ExtField(FieldCtx):
+    """F_{p^n} as F_p[t] modulo a monic irreducible of degree n.
+
+    Multiplication is a schoolbook product of the raw tuples in plain
+    integers, whose terms t^n .. t^(2n-2) are folded back through ``_fold``,
+    the table of their residues modulo the modulus (n - 1 rows of n ints,
+    computed once with the kernel), and reduced mod p once at the end.
+    Inverse and p-th root run the kernel over ``prime``.
+    """
+
     kind = "extension"
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
@@ -330,6 +339,11 @@ class ExtField(FieldCtx):
         self.prime = make_field(p)  # the kernel runs over F_p
         self._zero = (0,) * n
         self._one = (1,) + self._zero[1:]
+        # row i is t^(n+i) mod modulus, for i = 0 .. n-2
+        self._fold = tuple(
+            self._pad(_pdivmod(self.prime, [0] * (n + i) + [1], modulus)[1])
+            for i in range(n - 1)
+        )
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"
@@ -344,8 +358,19 @@ class ExtField(FieldCtx):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def _mul(self, a, b):
-        F = self.prime
-        return self._pad(_pdivmod(F, _pmul(F, a, b), self.modulus)[1])
+        n = self.n
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        low = prod[:n]
+        for c, row in zip(prod[n:], self._fold):
+            if c:
+                for k, r in enumerate(row):
+                    low[k] += c * r
+        p = self.p
+        return tuple(v % p for v in low)
 
     def _neg(self, a):
         return tuple(-x % self.p for x in a)
@@ -573,8 +598,9 @@ class FieldElem:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def inverse(self) -> "FieldElem":
@@ -619,13 +645,10 @@ class FieldElem:
         ctx = self.ctx
         if ctx.characteristic == 0 or isinstance(ctx, PrimeField):
             return 1
-        chain = self
-        images = []
-        for _ in range(ctx.n):
-            chain = chain.frobenius()
-            images.append(chain)
         # the first k with self^(p^k) = self is the orbit length, a divisor of n
-        for k, image in enumerate(images, start=1):
+        image = self
+        for k in range(1, ctx.n + 1):
+            image = image.frobenius()
             if image == self:
                 return k
         raise InvariantViolated("element not fixed by full Frobenius orbit")

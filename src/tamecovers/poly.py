@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import (
     CharZero,
@@ -56,10 +57,6 @@ from .field import (
 
 # default bound on the extension degree k of the fields F_{p^k} searched
 DEFAULT_EXT = 6
-
-# fields at most this large are searched for roots by direct scan;
-# bigger ones use deterministic equal-degree splitting
-_SCAN_LIMIT = 4096
 
 # caps for the rational-root divisor scan over Q
 _FACTOR_TRIAL_LIMIT = 2_000_000
@@ -640,31 +637,38 @@ def _linear_roots_split(g: Poly) -> list[FieldElem]:
     ctx = g.ctx
     if g.degree <= 0:
         return []
-    if ctx.order <= _SCAN_LIMIT:
+    q = ctx.order
+    if q % 2 == 0:
+        # characteristic 2 has no quadratic character to split with: scan
         found = [e for e in ctx.elements() if g(e).is_zero]
         if len(found) != g.degree:
             raise InvariantViolated("polynomial did not split as expected")
         return found
     # deterministic equal-degree splitting: successive shifts a separate any
     # pair of roots because the quadratic character of (r + a) cannot agree
-    # for every a in the field
-    q = ctx.order
-    if q % 2 == 0:
-        raise InvariantViolated(f"equal-degree splitting needs odd order, got {q}")
+    # for every a in the field.  A shift a in F_p never separates r from its
+    # conjugate r^p, since chi(r^p + a) = chi((r + a)^p) = chi(r + a), so the
+    # shifts outside F_p (every element past the first p in canonical order)
+    # come first and the F_p ones last.  Both parts of a split resume after
+    # the shift that split them: no earlier shift separates two roots of h,
+    # and that one puts all roots of each part on one side, so every pair is
+    # still offered every shift that could separate it.
     half = (q - 1) // 2
+    p = ctx.characteristic
+    x = Poly.x(ctx)
 
-    def split(h: Poly) -> list[FieldElem]:
+    def split(h: Poly, start: int) -> list[FieldElem]:
         if h.degree == 1:
             return [-h.coeffs[0]]
-        x = Poly.x(ctx)
-        for a in ctx.elements():
+        shifts = chain(islice(ctx.elements(), p, None), islice(ctx.elements(), p))
+        for i, a in enumerate(islice(shifts, start, None), start):
             s = pow_mod(x + a, half, h)
             t = poly_gcd(s - Poly.one(ctx), h)
             if 0 < t.degree < h.degree:
-                return split(t) + split(h // t)
+                return split(t, i + 1) + split(h // t, i + 1)
         raise InvariantViolated("equal-degree splitting failed on split input")
 
-    return split(g.monic())
+    return split(g.monic(), 0)
 
 
 def roots(f: Poly, max_ext_degree: int = DEFAULT_EXT) -> list[tuple[FieldElem, int, int]]:

@@ -9,7 +9,7 @@ from tamecovers.errors import (
     NotPrime,
     UsageError,
 )
-from tamecovers.field import make_field
+from tamecovers.field import _pdivmod, _pmul, make_field
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -168,6 +168,17 @@ def test_lift_to_extension():
     assert al == F25.from_int(3)
     with pytest.raises(MixedContexts):
         F7.one.lift_to(F25)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 7), (5, 4), (17, 6), (101, 2)])
+def test_folded_mul_matches_kernel_product_mod_modulus(p, n):
+    ctx = make_field(p, n)
+    rng = random.Random(100 * p + n)
+    for _ in range(200):
+        a = tuple(rng.randrange(p) for _ in range(n))
+        b = tuple(rng.randrange(p) for _ in range(n))
+        rem = _pdivmod(ctx.prime, _pmul(ctx.prime, a, b), ctx.modulus)[1]
+        assert ctx._mul(a, b) == tuple(rem) + (0,) * (n - len(rem))
 
 
 def test_min_degree():

@@ -11,6 +11,7 @@ from tamecovers.errors import (
     ValueMismatch,
     ZeroDenominator,
 )
+from tamecovers import poly
 from tamecovers.field import make_field
 from tamecovers.poly import (
     INF,
@@ -279,7 +280,7 @@ def test_roots_in_extension_ctx():
     assert all(r.ctx is F25 for r, _m, _k in got)
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2)])
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2), (2, 4), (13, 3)])
 def test_roots_over_extension_match_brute_force(p, n):
     ctx = make_field(p, n)
     elems = list(ctx.elements())
@@ -316,9 +317,9 @@ def test_count_matches_named_roots():
         assert lifted_counts == {1: counts[1], 2: counts[2]}
 
 
-def test_roots_in_field_beyond_scan_limit():
-    # F_{5^6} has 15625 elements, past the direct-scan limit, so this walks
-    # the deterministic splitting path
+def test_roots_of_the_modulus_in_its_own_field():
+    # the six conjugate roots of the modulus of F_{5^6} (15625 elements),
+    # split apart by the equal-degree path
     F56 = make_field(5, 6)
     mod = P(F5, *F56.modulus)
     got = roots(mod, 6)
@@ -326,6 +327,29 @@ def test_roots_in_field_beyond_scan_limit():
     lifted = lift_poly(mod, F56)
     for r, m, _k in got:
         assert m == 1 and lifted(r).is_zero
+
+
+def test_splitting_conjugate_pairs_takes_few_pow_mods(monkeypatch):
+    # six irreducible quadratics over F_101: twelve roots in F_{101^2} that
+    # come in Frobenius-conjugate pairs, which no shift in F_101 separates
+    F101 = make_field(101)
+    quads = [q for q in (P(F101, c, 1, 1) for c in range(101))
+             if count_roots_by_degree(q, 2)[2] == 2][:6]
+    f = Poly.one(F101)
+    for q in quads:
+        f = f * q
+    calls = 0
+    real = poly.pow_mod
+
+    def counting_pow_mod(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(poly, "pow_mod", counting_pow_mod)
+    got = roots(f, 2)
+    assert len(got) == 12 and all(k == 2 and m == 1 for _r, m, k in got)
+    assert calls <= 2 * len(got)
 
 
 def test_rational_roots_with_multiplicities():
