@@ -8,7 +8,6 @@ from .addconst import (
     additive_twist,
     construct_family,
     find_merging_c,
-    lambda_of_c,
     make_merged_cover,
 )
 from .errors import DomainError, UsageError
@@ -20,7 +19,6 @@ from .multconst import (
     bad_degree,
     contract,
     count_covers_at,
-    divisibility_check,
     is_critical_value,
     is_supersingular_value,
     lambda_map,

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    DegenerateRho,
     ExcludedC,
     FormulaMismatch,
     FrobeniusCollision,
@@ -37,7 +36,7 @@ from .errors import (
     TypeDegenerates,
 )
 from .field import FieldElem, is_prime, make_field
-from .poly import INF, Poly, ProjPoint, RatFunc, evaluate, map_degree, ord_at, roots
+from .poly import INF, Poly, ProjPoint, RatFunc, evaluate, ord_at, roots
 from .ramify import NormalizedCover, RamType, expect_cover
 
 
@@ -168,20 +167,6 @@ def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, F
     if len(others) != 3:
         raise TypeDegenerates("another pair of branch points collided under the twist")
     return normalized, c
-
-
-def lambda_of_c(m: MergedCover) -> RatFunc:
-    """The fourth branch point of the twist as a degree-1 map of c."""
-    ctx = m.f.ctx
-    rho_p = m.rho ** m.p
-    if rho_p == ctx.one:
-        raise DegenerateRho("rho^p = 1 makes the branch-point map constant")
-    num = Poly.from_elems(ctx, [ctx.one, rho_p])  # 1 + rho^p c
-    den = Poly.from_elems(ctx, [ctx.one, ctx.one])  # 1 + c
-    lam = RatFunc.make(num, den)
-    if map_degree(lam) != 1:
-        raise TypeDegenerates(f"lambda(c) = {lam} is not a degree-1 map")
-    return lam
 
 
 def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:

@@ -71,10 +71,6 @@ class Inseparable(DomainError):
     code = "Inseparable"
 
 
-class ExtensionTooSmall(DomainError):
-    code = "ExtensionTooSmall"
-
-
 class InvalidType(DomainError):
     code = "InvalidType"
 
@@ -141,10 +137,6 @@ class MinNotAtFirst(DomainError):
     code = "MinNotAtFirst"
 
 
-class HypothesisFails(DomainError):
-    code = "HypothesisFails"
-
-
 # additive construction
 
 class ExcludedC(DomainError):
@@ -157,10 +149,6 @@ class FrobeniusCollision(DomainError):
 
 class TypeDegenerates(DomainError):
     code = "TypeDegenerates"
-
-
-class DegenerateRho(DomainError):
-    code = "DegenerateRho"
 
 
 class NoValidRoot(DomainError):

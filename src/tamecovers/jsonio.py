@@ -1,4 +1,4 @@
-"""JSON forms of elements, polynomials, covers and analyses.
+"""JSON forms of elements, polynomials and covers.
 
 Every element is serialized through its exact text form, which is
 self-describing: a bare integer string for prime fields, "num/den" over
@@ -13,16 +13,11 @@ from __future__ import annotations
 
 from .errors import UsageError
 from .field import ExtField, FieldCtx, FieldElem, make_field
-from .poly import Poly, ProjPoint, RatFunc, clear_denominators
-from .ramify import CoverAnalysis
+from .poly import Poly, RatFunc, clear_denominators
 
 
 def elem_str(e: FieldElem) -> str:
     return e.ctx.format(e.raw)
-
-
-def proj_str(pt: ProjPoint) -> str:
-    return "inf" if pt.is_infinite else elem_str(pt.value)
 
 
 def poly_strs(f: Poly) -> list[str]:
@@ -87,25 +82,6 @@ def cover_from_json(doc: dict) -> tuple[RatFunc, list[int]]:
     num = poly_from_strs(ctx, doc["num"])
     den = poly_from_strs(ctx, doc["den"])
     return RatFunc.make(num, den), [int(v) for v in doc.get("type", [])]
-
-
-def analysis_json(a: CoverAnalysis) -> dict:
-    return {
-        "degree": a.degree,
-        "tame": a.tame,
-        "complete": a.complete,
-        "branch": [proj_str(b) for b in a.branch_points],
-        "ram_points": [[proj_str(pt), e] for pt, e in a.ram_points],
-        "type": [list(part) for part in a.ram_type.classes] if a.ram_type else None,
-        "fibers": [
-            {
-                "over": proj_str(f.over),
-                "points": [[proj_str(pt), e, k] for pt, e, k in f.points],
-                "complete": f.complete,
-            }
-            for f in a.fibers
-        ],
-    }
 
 
 def parse_cli_elem(p: int, s: str) -> FieldElem:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from .errors import (
     BranchValueExcluded,
     FormulaMismatch,
-    HypothesisFails,
     InvalidMu,
     InvalidType,
     MinNotAtFirst,
@@ -405,17 +404,3 @@ def bad_degree(p: int, es) -> BadDegreeResult:
     return BadDegreeResult(p=p, es=(t.e1, t.e2, t.e3), d=d, h=h, h_p=h_p, bad=bad,
                            case=case, quotient=quotient)
 
-
-def divisibility_check(p: int, es) -> dict:
-    """In the mixed case, h - h_p is always divisible by p; returns the
-    quotient d+1-p.  Raises HypothesisFails outside the mixed case."""
-    es = tuple(int(e) for e in es)
-    res = bad_degree(p, min_first(FourPointType(p, *es).d, es))
-    if res.case != "mixed":
-        raise HypothesisFails(
-            f"type {es} at p = {p} is in the {res.case} case, h = {res.h}, h_p = {res.h_p}"
-        )
-    if res.bad % p:
-        raise FormulaMismatch(f"bad degree {res.bad} of {es} is not divisible by p = {p}")
-    return {"divisible": True, "quotient": res.quotient, "bad": res.bad,
-            "h": res.h, "h_p": res.h_p}

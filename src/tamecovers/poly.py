@@ -747,10 +747,10 @@ def count_roots_by_degree(f: Poly, max_k: int) -> dict[int, int]:
 def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
     """Rational roots of f over Q by divisor scan.
 
-    Returns (roots with multiplicities, complete) where ``complete`` is
-    False when the leading/trailing integer coefficients were too large to
-    factor within the trial-division budget, in which case roots may be
-    missing.
+    Returns (roots with multiplicities, complete).  When the leading or
+    trailing integer coefficient is too large to factor within the
+    trial-division budget, ``complete`` is False and only the root at zero,
+    if any, is returned.
     """
     ctx = f.ctx
     if ctx.characteristic != 0:
@@ -772,11 +772,8 @@ def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
 
     d0 = _bounded_divisors(abs(ints[0]))
     dl = _bounded_divisors(abs(ints[-1]))
-    complete = d0 is not None and dl is not None
-    if d0 is None:
-        d0 = _small_divisor_sample(abs(ints[0]))
-    if dl is None:
-        dl = _small_divisor_sample(abs(ints[-1]))
+    if d0 is None or dl is None:
+        return out, False
 
     seen = set()
     for num in d0:
@@ -791,7 +788,7 @@ def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
                 if m:
                     out.append((r, m))
     out.sort(key=lambda t: t[0].sort_key())
-    return out, complete
+    return out, True
 
 
 def clear_denominators(fracs) -> list[int]:
@@ -823,7 +820,3 @@ def _bounded_divisors(n: int):
         divs = divs + [a * rem for a in divs]
     return sorted(set(divs))
 
-
-def _small_divisor_sample(n: int) -> list[int]:
-    out = [d for d in range(1, 1000) if n % d == 0]
-    return out or [1]

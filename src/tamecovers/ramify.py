@@ -1,17 +1,13 @@
 """Ramification analysis of rational self-maps of the projective line.
 
 ``analyze_cover`` locates the critical points of a separable map, computes
-ramification indices, branch points and fibers, and derives the
+ramification indices and branch points, and derives the
 ramification type and its Riemann-Hurwitz genus.  Completeness is tracked
 honestly: the located critical points are complete exactly when their
 multiplicities in the derivative numerator W sum to deg W, since W splits
 over the algebraic closure.  Callers that construct covers with known
 ramification points pass them as ``candidates``; the same bookkeeping then
 certifies the type without any root search.
-
-Fibers over a branch point may fail to split within the extension-degree
-bound; such fibers are flagged partial instead of raising, because the
-ramification type itself only needs the critical points.
 
 ``expect_cover`` is the one certification step of the constructions: it
 runs the analysis once and raises the caller's error class naming the
@@ -20,12 +16,10 @@ first clause of the claimed type that fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
-    ConstantMap,
     DegenerateTriple,
-    ExtensionTooSmall,
     Inseparable,
     InvalidType,
     InvariantViolated,
@@ -104,13 +98,6 @@ def single_cycle_type(d: int, es) -> RamType:
 
 
 @dataclass(frozen=True)
-class Fiber:
-    over: ProjPoint
-    points: tuple[tuple[ProjPoint, int, int], ...]  # (point, index, field degree)
-    complete: bool
-
-
-@dataclass(frozen=True)
 class CoverAnalysis:
     map: RatFunc
     degree: int
@@ -118,7 +105,6 @@ class CoverAnalysis:
     complete: bool  # all critical points located
     ram_points: tuple[tuple[ProjPoint, int], ...]
     branch_points: tuple[ProjPoint, ...]
-    fibers: tuple[Fiber, ...]
     ram_type: RamType | None
 
     def index_at(self, pt) -> int:
@@ -148,37 +134,20 @@ def _pt_sort_key(pt: ProjPoint):
     return (0, n, key)
 
 
-def _poly_root_points(P: Poly, max_ext_degree: int) -> tuple[list, bool]:
-    """Locate roots of P with multiplicities; returns (list, complete).
-
-    Entries are (elem, multiplicity, field degree).  Over Q only rational
-    roots are reachable; otherwise ``roots`` does the search.
-    """
-    if P.degree <= 0:
-        return [], True
+def _residual_roots(P: Poly, max_ext_degree: int) -> list[tuple[FieldElem, int]]:
+    """Roots of P with multiplicities.  Over Q only rational roots are
+    reachable; otherwise ``roots`` does the search."""
     if P.ctx.characteristic == 0:
-        rts, scan_ok = rational_roots(P)
-        found = [(r, m, 1) for r, m in rts]
-        total = sum(m for _, m, _ in found)
-        return found, scan_ok and total == P.degree
-    found = roots(P, max_ext_degree)
-    total = sum(m for _, m, _ in found)
-    return found, total == P.degree
+        return rational_roots(P)[0]
+    return [(r, m) for r, m, _k in roots(P, max_ext_degree)]
 
 
 def analyze_cover(
     f: RatFunc,
     max_ext_degree: int = DEFAULT_EXT,
     candidates=(),
-    with_fibers: bool = True,
-    require_complete: bool = False,
 ) -> CoverAnalysis:
-    """Full ramification analysis of a nonconstant separable map.
-
-    With ``require_complete`` the analysis raises ExtensionTooSmall instead
-    of returning a partial result when some critical point lies outside the
-    searched extensions.
-    """
+    """Full ramification analysis of a nonconstant separable map."""
     ctx = f.ctx
     d = map_degree(f)  # raises ConstantMap on constants
     W = f.num.derivative() * f.den - f.num * f.den.derivative()
@@ -208,14 +177,9 @@ def analyze_cover(
     if not complete:
         # discovered roots may live in tower fields, so account for the
         # remaining critical mass by multiplicities instead of deflating
-        extra, _ = _poly_root_points(residual, max_ext_degree)
-        located.extend((r, m) for r, m, _k in extra)
-        complete = sum(m for _r, m, _k in extra) == residual.degree
-    if require_complete and not complete:
-        raise ExtensionTooSmall(
-            f"critical points of mass {residual.degree} not found within "
-            f"extension degree {max_ext_degree}"
-        )
+        extra = _residual_roots(residual, max_ext_degree)
+        located.extend(extra)
+        complete = sum(m for _r, m in extra) == residual.degree
 
     ram_points: list[tuple[ProjPoint, int]] = []
     for x, _m in located:
@@ -233,10 +197,6 @@ def analyze_cover(
     p = ctx.characteristic
     tame = p == 0 or all(e % p != 0 for _pt, e in ram_points)
 
-    fibers = []
-    if with_fibers:
-        for b in branch_points:
-            fibers.append(_fiber(f, b, d, max_ext_degree))
     ram_type = None
     if complete:
         classes = []
@@ -255,7 +215,6 @@ def analyze_cover(
         complete=complete,
         ram_points=tuple(ram_points),
         branch_points=branch_points,
-        fibers=tuple(fibers),
         ram_type=ram_type,
     )
 
@@ -272,26 +231,6 @@ def _image(f: RatFunc, pt: ProjPoint) -> ProjPoint:
     return ProjPoint(f.ctx.from_int(v.value.raw[0]))
 
 
-def _fiber(f: RatFunc, b: ProjPoint, d: int, max_ext_degree: int) -> Fiber:
-    ctx = f.ctx
-    if not b.is_infinite and b.value.ctx is not ctx:
-        f = lift_ratfunc(f, b.value.ctx)
-        ctx = b.value.ctx
-    P = f.den if b.is_infinite else f.fiber_poly(b.value)
-    points = []
-    if P.degree > 0:
-        found, _ = _poly_root_points(P, max_ext_degree)
-        for r, m, k in found:
-            points.append((ProjPoint(r), m, k))
-    if evaluate(f, INF) == b:
-        points.append((INF, ord_at(f, INF, b), 1))
-    points.sort(key=lambda t: _pt_sort_key(t[0]))
-    total = sum(m for _pt, m, _k in points)
-    if total > d:
-        raise InvariantViolated(f"fiber over {b} has mass {total} > degree {d}")
-    return Fiber(over=b, points=tuple(points), complete=total == d)
-
-
 def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
                  degree=None) -> RamType:
     """Certify that f has the claimed ramification, or raise exc.
@@ -305,7 +244,7 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
     branch points.  The detail of exc names the first failing clause.
     """
     points = [(ProjPoint.of(x), e) for x, e in points]
-    a = analyze_cover(f, candidates=[x for x, _e in points], with_fibers=False)
+    a = analyze_cover(f, candidates=[x for x, _e in points])
 
     def fail(clause: str):
         raise exc(f"{what} failed type verification: {clause}")

@@ -6,12 +6,7 @@ import sys
 import pytest
 
 import tamecovers
-from tamecovers.addconst import (
-    additive_twist,
-    construct_family,
-    find_merging_c,
-    lambda_of_c,
-)
+from tamecovers.addconst import additive_twist, construct_family, find_merging_c
 from tamecovers.errors import ExcludedC, FrobeniusCollision, InvalidType, TypeDegenerates
 from tamecovers.field import make_field
 from tamecovers.poly import Poly, ProjPoint, RatFunc, evaluate, ord_at, roots
@@ -163,20 +158,6 @@ def test_perturbed_twist_names_the_failed_clause_even_under_O():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("False twist by c = 1 failed type verification: index at 2")
-
-
-def test_lambda_of_c_is_a_degree_one_map():
-    fam = construct_family(5, 2, 4)[0]
-    loc = lambda_of_c(fam.merged)
-    assert loc == RatFunc.make(P(F5, 1, 4), P(F5, 1, 1))
-    assert evaluate(loc, F5.from_int(2)) == ProjPoint(F5.from_int(3))
-    assert evaluate(loc, F5.zero) == ProjPoint(F5.one)
-    # injective on the allowed c-set: degree 1 never repeats values
-    seen = {}
-    for c in F5.elements():
-        v = repr(evaluate(loc, c))
-        assert v not in seen
-        seen[v] = c
 
 
 def test_merge_split_round_trip_exact():

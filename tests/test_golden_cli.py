@@ -20,7 +20,7 @@ import tempfile
 
 import pytest
 
-from tamecovers import cli
+from tamecovers import cli, verify
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 
@@ -96,6 +96,12 @@ def test_cli_output_matches_golden(name, tmp_path):
 
 def test_every_case_is_recorded():
     assert sorted(_golden()) == sorted(CASES)
+
+
+def test_verify_library_matches_cli_golden():
+    # the library entry point prints nothing itself; the CLI adds the newline
+    want = _golden()["verify-paper-examples"][0]["stdout"]
+    assert json.dumps(verify.run_suite("paper-examples", p=7, ext=6)) == want[:-1]
 
 
 def record() -> None:

@@ -4,7 +4,6 @@ import pytest
 
 from tamecovers.errors import (
     BranchValueExcluded,
-    HypothesisFails,
     InvalidMu,
     InvalidType,
     MinNotAtFirst,
@@ -18,7 +17,6 @@ from tamecovers.multconst import (
     bad_degree,
     contract,
     count_covers_at,
-    divisibility_check,
     is_critical_value,
     is_supersingular_value,
     lambda_map,
@@ -238,18 +236,6 @@ def test_bad_degree_spot_values():
 def test_bad_degree_requires_min_first():
     with pytest.raises(MinNotAtFirst):
         bad_degree(5, (3, 2, 3))
-
-
-def test_divisibility_check():
-    assert divisibility_check(7, (3, 2, 5)) == {
-        "divisible": True,
-        "quotient": 1,
-        "bad": 7,
-        "h": 12,
-        "h_p": 5,
-    }
-    with pytest.raises(HypothesisFails):
-        divisibility_check(7, (2, 2, 4))
 
 
 def test_bad_degree_equals_h_minus_hp_sweep():

@@ -4,7 +4,6 @@ import pytest
 
 from tamecovers.errors import (
     DegenerateTriple,
-    ExtensionTooSmall,
     Inseparable,
     InvalidType,
     MappingMismatch,
@@ -19,6 +18,7 @@ from tamecovers.poly import (
     apply_mobius,
     mobius,
     mobius_inverse,
+    rational_roots,
 )
 from tamecovers.ramify import (
     RamType,
@@ -105,19 +105,6 @@ def test_analyze_rejects_inseparable():
         analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 0, 0, 0, 1)))
 
 
-def test_fibers_and_field_degrees():
-    a = analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 3, -2)))
-    by_branch = {repr(f.over): f for f in a.fibers}
-    f0 = by_branch["0"]
-    assert f0.complete
-    assert sorted((e, k) for _pt, e, k in f0.points) == [(1, 1), (2, 1)]
-    finf = by_branch["inf"]
-    assert finf.complete and finf.points == ((INF, 3, 1),)
-    f1 = by_branch["1"]
-    assert f1.complete
-    assert sum(e for _pt, e, _k in f1.points) == 3
-
-
 def test_genus_examples():
     assert genus_from_type(RamType(3, ((2, 1), (2, 1), (3,)))) == 0
     assert genus_from_type(single_cycle_type(5, (3, 2, 3, 4))) == 0
@@ -199,29 +186,25 @@ def test_partial_analysis_is_flagged_not_fatal():
     a = analyze_cover(f, max_ext_degree=1)
     assert not a.complete
     assert a.ram_type is None
-    with pytest.raises(ExtensionTooSmall):
-        analyze_cover(f, max_ext_degree=1, require_complete=True)
-    full = analyze_cover(f, max_ext_degree=2, require_complete=True)
+    full = analyze_cover(f, max_ext_degree=2)
     assert full.complete
     assert all(k == 2 for pt, _e in full.ram_points if not pt.is_infinite
                for k in [pt.value.min_degree()])
 
 
-def test_analysis_json_schema():
-    from tamecovers.jsonio import analysis_json
+def test_unfactorable_coefficients_give_an_incomplete_analysis_over_q():
+    # both prime factors of N lie beyond the trial-division budget, so the
+    # divisor scan gives up rather than guess, though y = 2 is a root
+    N = 2000003 * 2000029
+    f = P(QQ, 2, -(2 * N + 1), N)  # (N*y - 1)*(y - 2)
+    assert rational_roots(f) == ([], False)
+    # W of this polynomial map is 6*f
+    a = analyze_cover(RatFunc.from_poly(P(QQ, 0, 12, -3 * (2 * N + 1), 2 * N)))
+    assert not a.complete
+    assert a.ram_type is None
 
-    a = analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 3, -2)))
-    doc = analysis_json(a)
-    assert doc["degree"] == 3 and doc["tame"] and doc["complete"]
-    assert doc["branch"] == ["0", "1", "inf"]
-    assert doc["type"] == [[2, 1], [2, 1], [3]]
-    over_inf = [f for f in doc["fibers"] if f["over"] == "inf"][0]
-    assert over_inf["points"] == [["inf", 3, 1]] and over_inf["complete"]
 
-
-def test_single_cycle_fibers_have_one_big_point():
+def test_three_point_cover_is_single_cycle():
+    # one part > 1 per partition: one ramified point over each branch point
     a = analyze_cover(RatFunc.make(P(F7, 0, 0, 0, 1), P(F7, -2, 3)))
     assert a.ram_type.single_cycle == (3, 2, 2)
-    for fiber in a.fibers:
-        big = [e for _pt, e, _k in fiber.points if e > 1]
-        assert len(big) == 1
