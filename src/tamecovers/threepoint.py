@@ -4,15 +4,19 @@ For a type (d; e1, e2, e3) the normalized cover f satisfies f = y^e1 A / B
 and f - 1 = (y-1)^e2 C / B for polynomials A, B, C of degrees d-e1, d-e3,
 d-e2.  Equating the two expressions gives the linear identity
 
-    y^e1 * A - B - (y-1)^e2 * C = 0
+    B = y^e1 * A - (y-1)^e2 * C
 
-whose coefficient matching is a linear system with d+1 equations in d+2
-unknowns.  Uniqueness of the cover forces the kernel to be one-dimensional
-whenever the cover exists; the kernel vector is scaled to make B monic and
-the resulting map is verified to have exactly the requested type.  The
-verification is not optional: the system acquires spurious kernel vectors
-precisely when the cover does not exist (in characteristic p this happens
-for d >= p), so checking the result IS the existence test.
+so B is fixed by A and C, and the only constraints are that the right side
+has no terms of degree d-e3+1 .. d: a linear system of e3 equations in the
+e3+1 coefficients of A and C.  Its kernel is the kernel of the full
+coefficient matching in A, B, C, projected onto (A, C), so the two have
+the same dimension.  Uniqueness of the cover forces the kernel to be
+one-dimensional whenever the cover exists; the kernel vector is scaled to
+make B monic and the resulting map is verified to have exactly the
+requested type.  The verification is not optional: the system acquires
+spurious kernel vectors precisely when the cover does not exist (in
+characteristic p this happens for d >= p), so checking the result IS the
+existence test.
 
 The same solve works verbatim over Q and over F_p.
 """
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
-from .field import FieldCtx
+from .field import FieldCtx, FieldElem, _pmul, _psub, _trim
 from .poly import INF, Poly, ProjPoint, RatFunc, poly_gcd
 from .ramify import NormalizedCover, expect_cover
 
@@ -51,28 +55,35 @@ class ThreePointSpec:
 
 
 def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
-    """Kernel of a matrix over an exact field by Gauss-Jordan elimination."""
+    """Kernel of a matrix over an exact field by Gauss-Jordan elimination.
+
+    Rows and basis vectors are FieldElem lists; the elimination runs on raw
+    values and skips the zero entries of the pivot row, so a banded matrix
+    costs little more than its band.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    m = [list(r) for r in rows]
+    zero, one = ctx._zero, ctx._one
+    mul, sub = ctx._mul, ctx._sub
+    m = [[v.raw for v in r] for r in rows]
     pivots = []  # (row, col)
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        if m[r][c] != one:
+            inv = ctx._inv(m[r][c])
+            m[r] = [mul(v, inv) for v in m[r]]
+        # columns left of c are already cleared in the pivot row
+        support = [(j, v) for j, v in enumerate(m[r][c:], c) if v != zero]
+        for i, row in enumerate(m):
+            factor = row[c]
+            if i != r and factor != zero:
+                for j, v in support:
+                    row[j] = sub(row[j], mul(factor, v))
         pivots.append((r, c))
         r += 1
         if r == len(m):
@@ -81,11 +92,11 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
-        vec = [ctx.zero] * ncols
-        vec[fc] = ctx.one
+        vec = [zero] * ncols
+        vec[fc] = one
         for pr, pc in pivots:
-            vec[pc] = -m[pr][fc]
-        basis.append(vec)
+            vec[pc] = ctx._neg(m[pr][fc])
+        basis.append([FieldElem(ctx, v) for v in vec])
     return basis
 
 
@@ -98,37 +109,32 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
         raise NoSuchCover(f"d = {d} >= p = {p}: no tame cover of this type")
 
     da, db, dc = d - e1, d - e3, d - e2
-    na, nb, nc = da + 1, db + 1, dc + 1
-    ncols = na + nb + nc
-    if ncols != d + 2:
-        raise InvariantViolated(f"{ncols} unknowns for degree {d}, expected d + 2")
+    na, nc = da + 1, dc + 1
+    if na + nc != e3 + 1:
+        raise InvariantViolated(f"{na + nc} unknowns for e3 = {e3}, expected e3 + 1")
 
-    # binomial coefficients of (y-1)^e2, ascending
-    binom = [
-        ctx.from_int(math.comb(e2, k) * (-1) ** (e2 - k)) for k in range(e2 + 1)
-    ]
+    # (y-1)^e2, ascending raw coefficients
+    ym1 = [ctx.from_int(math.comb(e2, k) * (-1) ** (e2 - k)).raw for k in range(e2 + 1)]
+    neg_ym1 = [ctx._neg(b) for b in ym1]
+    # the coefficients of y^j, db < j <= d, of y^e1 A - (y-1)^e2 C
     rows = []
-    for j in range(d + 1):
-        row = [ctx.zero] * ncols
-        if 0 <= j - e1 <= da:
-            row[j - e1] = ctx.one
-        if j <= db:
-            row[na + j] = -ctx.one
-        for i in range(nc):
-            k = j - i
-            if 0 <= k <= e2:
-                row[na + nb + i] = row[na + nb + i] - binom[k]
-        rows.append(row)
+    for j in range(db + 1, d + 1):
+        row = [ctx._zero] * (na + nc)
+        if j >= e1:
+            row[j - e1] = ctx._one
+        for i in range(max(0, j - e2), min(dc, j) + 1):
+            row[na + i] = neg_ym1[j - i]
+        rows.append([FieldElem(ctx, v) for v in row])
 
     basis = kernel_basis(rows, ctx)
     if len(basis) != 1:
         raise KernelDimensionUnexpected(
             f"kernel dimension {len(basis)} for type ({d}; {e1},{e2},{e3}) over {ctx}"
         )
-    vec = basis[0]
-    A = Poly.from_elems(ctx, vec[:na])
-    B = Poly.from_elems(ctx, vec[na : na + nb])
-    C = Poly.from_elems(ctx, vec[na + nb :])
+    vec = [v.raw for v in basis[0]]
+    a, c = _trim(ctx, vec[:na]), _trim(ctx, vec[na:])
+    b = _psub(ctx, [ctx._zero] * e1 + a, _pmul(ctx, ym1, c))
+    A, B, C = (Poly(ctx, tuple(coeffs)) for coeffs in (a, b, c))
     if B.is_zero or A.degree != da or B.degree != db or C.degree != dc:
         raise NoSuchCover(
             f"degenerate kernel vector for type ({d}; {e1},{e2},{e3}) over {ctx}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from . import addconst, jsonio, multconst, symhurwitz
-from .errors import DomainError, InvalidMu, MixedContexts, UsageError
+from .errors import DomainError, FormulaMismatch, InvalidMu, MixedContexts, UsageError
 from .field import is_prime, make_field
 from .poly import DEFAULT_EXT, lift_ratfunc
 from .threepoint import ThreePointSpec, solve_three_point
@@ -108,9 +108,9 @@ def _formulas(p_max: int) -> list[dict]:
         mismatches = []
         types = _admissible_types(p)
         for t in types:
-            L = multconst.lambda_map(ctx, t)
-            want = (3 * p - 1 - t.E) // 2
-            if L.degree != want:
+            try:
+                multconst.lambda_map(ctx, t)  # checks deg(lambda) against the closed form
+            except FormulaMismatch:
                 mismatches.append([t.e1, t.e2, t.e3])
         checks.append(_check(f"degree-identity-p{p}-{len(types)}-types", mismatches, []))
 
@@ -120,9 +120,11 @@ def _formulas(p_max: int) -> list[dict]:
                 t = multconst.FourPointType(p, *es)
             except DomainError:
                 continue
-            res = multconst.bad_degree(p, multconst.min_first(t.d, es))
-            if res.bad != res.h - res.h_p:
+            try:
+                res = multconst.bad_degree(p, multconst.min_first(t.d, es))  # checks bad = h - h_p
+            except FormulaMismatch:
                 bad_mismatches.append(list(es))
+                continue
             if res.case == "mixed" and res.bad % p != 0:
                 bad_mismatches.append(list(es))
         checks.append(_check(f"bad-degree-identity-p{p}", bad_mismatches, []))

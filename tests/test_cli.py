@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from tamecovers import multconst
 from tamecovers.cli import build_parser, run
+from tamecovers.verify import run_suite
 
 
 def invoke(argv):
@@ -188,6 +190,25 @@ def test_verify_paper_examples_suite():
     assert doc["all_pass"] is True
     names = [c["name"] for c in doc["checks"]]
     assert "example-b-cover-Q" in names
+
+
+def test_verify_formulas_reports_a_wrong_closed_form(monkeypatch):
+    # one wrong closed form fails its own check; the rest of the suite runs
+    real = multconst.p_hurwitz_4pt
+
+    def off_by_one(p, t):
+        n = real(p, t)
+        return n + 1 if p == 5 and sorted((t.e1, t.e2, t.e3)) == [2, 3, 3] else n
+
+    monkeypatch.setattr(multconst, "p_hurwitz_4pt", off_by_one)
+    doc = run_suite("formulas", p_max=5)
+    assert doc["all_pass"] is False
+    failed = {c["name"]: c["got"] for c in doc["checks"] if not c["pass"]}
+    assert failed == {"bad-degree-identity-p5": [[2, 3, 3]]}
+
+    code, out, _err = invoke(["verify", "--suite", "formulas", "--p_max", "5"])
+    assert code == 2
+    assert json.loads(out)["checks"] == doc["checks"]
 
 
 def test_verify_roundtrip_suite_small():

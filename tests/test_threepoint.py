@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -122,3 +124,71 @@ def test_kernel_basis_small_system():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == F5.zero and v[1] + v[2] == F5.zero
+
+
+def _full_system_cover(ctx, spec):
+    """(y^e1 A, B), B monic, from the kernel of the full coefficient
+    matching of y^e1 A - B - (y-1)^e2 C = 0: d+1 equations in A, B, C."""
+    e1, e2, e3, d = spec.e1, spec.e2, spec.e3, spec.d
+    na, nb, nc = d - e1 + 1, d - e3 + 1, d - e2 + 1
+    ym1 = [ctx.from_int(math.comb(e2, k) * (-1) ** (e2 - k)) for k in range(e2 + 1)]
+    rows = []
+    for j in range(d + 1):
+        row = [ctx.zero] * (na + nb + nc)
+        if 0 <= j - e1 < na:
+            row[j - e1] = ctx.one
+        if j < nb:
+            row[na + j] = -ctx.one
+        for i in range(nc):
+            if 0 <= j - i <= e2:
+                row[na + nb + i] = -ym1[j - i]
+        rows.append(row)
+    basis = kernel_basis(rows, ctx)
+    assert len(basis) == 1
+    vec = basis[0]
+    A = Poly.from_elems(ctx, vec[:na])
+    B = Poly.from_elems(ctx, vec[na : na + nb])
+    scale = B.lc.inverse()
+    return Poly.x(ctx) ** e1 * A * scale, B * scale
+
+
+@pytest.mark.parametrize("ctx", [QQ, F5, F7, make_field(11), make_field(13)], ids=str)
+def test_solve_matches_the_full_system(ctx):
+    d_max = 10 if ctx.characteristic == 0 else ctx.characteristic - 1
+    for d in range(2, d_max + 1):
+        for es in itertools.product(range(2, d + 1), repeat=3):
+            if sum(es) != 2 * d + 1:
+                continue
+            spec = ThreePointSpec(*es)
+            f = solve_three_point(ctx, spec).cover
+            assert (f.num, f.den) == _full_system_cover(ctx, spec), es
+
+
+@pytest.mark.parametrize("ctx", [make_field(3), make_field(3, 2)], ids=str)
+def test_kernel_basis_matches_brute_force(ctx):
+    rng = random.Random(ctx.order)
+    elems = list(ctx.elements())
+    max_cols = 5 if ctx.order == 3 else 3
+
+    def dot(row, v):
+        return sum((a * b for a, b in zip(row, v)), ctx.zero)
+
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, max_cols)
+        rows = [[rng.choice(elems) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3 == 0:
+            zc = rng.randrange(ncols)
+            for row in rows:
+                row[zc] = ctx.zero
+        if trial % 2 == 0 and nrows > 2:
+            a, b = rng.choice(elems), rng.choice(elems)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        kernel = {v for v in itertools.product(elems, repeat=ncols)
+                  if all(dot(row, v).is_zero for row in rows)}
+        basis = kernel_basis(rows, ctx)
+        assert len(kernel) == ctx.order ** len(basis)
+        assert all(tuple(v) in kernel for v in basis)
+        span = {tuple(sum((c * v[i] for c, v in zip(cs, basis)), ctx.zero)
+                      for i in range(ncols))
+                for cs in itertools.product(elems, repeat=len(basis))}
+        assert span == kernel
