@@ -2,7 +2,8 @@
 
 Every command prints exactly one JSON document on stdout.  Exit codes:
 0 success, 1 usage error, 2 domain error (the document then is
-{"error": <stable code>, "detail": ...}) or a failed verification suite.
+{"error": <stable code>, "detail": ...}) or a verification document
+with "all_pass": false.
 All lists in the output are deterministically ordered, so identical
 invocations produce byte-identical output.
 """
@@ -10,6 +11,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,11 +27,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _cycles(s: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in s.split(","))
-    except ValueError:
-        raise UsageError(f"bad --cycles value {s!r}")
+def _cycles(arity: int | None = None):
+    """The --cycles type: comma-separated ints, exactly `arity` of them if given."""
+
+    def parse(s: str) -> tuple[int, ...]:
+        try:
+            cycles = tuple(int(x) for x in s.split(","))
+        except ValueError:
+            raise UsageError(f"bad --cycles value {s!r}")
+        if arity is not None and len(cycles) != arity:
+            raise UsageError(f"--cycles must have exactly {arity} entries, got {s!r}")
+        return cycles
+
+    return parse
+
+
+def _ext(s: str) -> int:
+    """The --ext type: a bound on extension degrees, at least 1."""
+    k = int(s)
+    if k < 1:
+        raise UsageError(f"--ext must be at least 1, got {k}")
+    return k
 
 
 def _parse_in_ctx(ctx: FieldCtx, p: int, s: str):
@@ -41,71 +59,75 @@ def _parse_in_ctx(ctx: FieldCtx, p: int, s: str):
         return e.lift_to(ctx)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command table, built once per process: each subcommand declares
+    its arguments and its body, which maps the parsed args to a document."""
     parser = _Parser(prog="tamecovers", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, ext=False, **kw):
-        sp = sub.add_parser(name, **kw)
+    def add(name, body, help, ext=False, sweep=False):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", help="also write the JSON document to this path")
         sp.add_argument("--pretty", action="store_true", help="indent the output")
         if ext:
-            sp.add_argument("--ext", type=int, default=DEFAULT_EXT,
+            sp.add_argument("--ext", type=_ext, default=DEFAULT_EXT,
                             help="maximum extension degree searched for roots")
+        if sweep:
+            sp.add_argument("--p", type=int)
+            sp.add_argument("--sweep", help="range syntax p=5..13")
+            body = functools.partial(_run_sweepable, body)
+        sp.set_defaults(body=body)
         return sp
 
-    sp = add("hurwitz-char0", help="characteristic-zero count by tuple enumeration")
+    sp = add("hurwitz-char0", _cmd_hurwitz_char0,
+             "characteristic-zero count by tuple enumeration")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--cycles", type=_cycles, required=True)
+    sp.add_argument("--cycles", type=_cycles(), required=True)
 
-    sp = add("hurwitz-p", ext=True, help="p-Hurwitz number of (d; e1,e2,e3,p-1), with checks")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--cycles", type=_cycles, required=True)
+    sp = add("hurwitz-p", _cmd_hurwitz_p, "p-Hurwitz number of (d; e1,e2,e3,p-1), with checks",
+             ext=True, sweep=True)
+    sp.add_argument("--cycles", type=_cycles(), required=True)
     sp.add_argument("--with-pminus1", action="store_true",
                     help="the implicit fourth index p-1 is appended")
-    sp.add_argument("--sweep", help="range syntax p=5..13")
 
-    sp = add("three-point", help="the unique normalized 3-point cover")
+    sp = add("three-point", _cmd_three_point, "the unique normalized 3-point cover")
     sp.add_argument("--p", type=int, required=True, help="prime, or 0 for Q")
-    sp.add_argument("--cycles", type=_cycles, required=True)
+    sp.add_argument("--cycles", type=_cycles(3), required=True)
 
-    sp = add("lambda-map", ext=True, help="the fourth-branch-point map of a 4-point type")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--cycles", type=_cycles, required=True)
-    sp.add_argument("--sweep", help="range syntax p=5..13")
+    sp = add("lambda-map", _cmd_lambda_map, "the fourth-branch-point map of a 4-point type",
+             ext=True, sweep=True)
+    sp.add_argument("--cycles", type=_cycles(3), required=True)
 
-    sp = add("lift", help="extend the 3-point cover of a type through mu")
+    sp = add("lift", _cmd_lift, "extend the 3-point cover of a type through mu")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--cycles", type=_cycles, required=True)
+    sp.add_argument("--cycles", type=_cycles(3), required=True)
     sp.add_argument("--mu", required=True)
 
-    sp = add("contract", help="collapse the index-(p-1) point of a cover file")
+    sp = add("contract", _cmd_contract, "collapse the index-(p-1) point of a cover file")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--cover", required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--mu", required=True)
 
-    sp = add("fiber-count", ext=True, help="count covers over one lambda value")
+    sp = add("fiber-count", _cmd_fiber_count, "count covers over one lambda value", ext=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--cycles", type=_cycles, required=True)
+    sp.add_argument("--cycles", type=_cycles(3), required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
 
-    sp = add("bad-degree", help="covers with bad reduction, closed form")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--cycles", type=_cycles, required=True)
-    sp.add_argument("--sweep", help="range syntax p=5..13")
+    sp = add("bad-degree", _cmd_bad_degree, "covers with bad reduction, closed form", sweep=True)
+    sp.add_argument("--cycles", type=_cycles(3), required=True)
 
-    sp = add("additive-family", help="merged covers of type (p+2; p+2,3,e3-e4)")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--cycles", type=_cycles, required=True, help="e3,e4")
-    sp.add_argument("--sweep", help="range syntax p=5..13")
+    sp = add("additive-family", _cmd_additive_family,
+             "merged covers of type (p+2; p+2,3,e3-e4)", sweep=True)
+    sp.add_argument("--cycles", type=_cycles(2), required=True, help="e3,e4")
 
-    sp = add("additive-twist", help="split a merged family with f + c*x^p")
+    sp = add("additive-twist", _cmd_additive_twist, "split a merged family with f + c*x^p")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--cycles", type=_cycles, required=True, help="e3,e4")
+    sp.add_argument("--cycles", type=_cycles(2), required=True, help="e3,e4")
     sp.add_argument("--c", required=True)
 
-    sp = add("verify", ext=True, help="run a verification suite")
+    sp = add("verify", _cmd_verify, "run a verification suite", ext=True)
     sp.add_argument("--suite", required=True, choices=verify.SUITES)
     sp.add_argument("--p", type=int)
     sp.add_argument("--p_max", type=int, default=13)
@@ -149,8 +171,6 @@ def _cmd_hurwitz_p(args, p: int) -> dict:
 
 
 def _cmd_three_point(args) -> dict:
-    if len(args.cycles) != 3:
-        raise UsageError("--cycles must have exactly 3 entries")
     ctx = make_field(args.p)
     spec = ThreePointSpec(*args.cycles)
     nc = solve_three_point(ctx, spec)
@@ -158,8 +178,6 @@ def _cmd_three_point(args) -> dict:
 
 
 def _cmd_lambda_map(args, p: int) -> dict:
-    if len(args.cycles) != 3:
-        raise UsageError("--cycles must have exactly 3 entries")
     t = multconst.FourPointType(p, *args.cycles)
     L = multconst.lambda_map(make_field(p), t)
     num, den = jsonio.ratfunc_strs(L.map)
@@ -185,9 +203,12 @@ def _cmd_lift(args) -> dict:
 
 
 def _cmd_contract(args) -> dict:
-    with open(args.cover, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    f, type_seq = jsonio.cover_from_json(doc)
+    try:
+        with open(args.cover, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise UsageError(f"cannot read cover file: {exc}")
+    f = jsonio.cover_from_json(doc)
     ctx = f.ctx
     lam = _parse_in_ctx(ctx, args.p, args.lam)
     mu = _parse_in_ctx(ctx, args.p, args.mu)
@@ -212,8 +233,6 @@ def _cmd_fiber_count(args) -> dict:
 
 
 def _cmd_bad_degree(args, p: int) -> dict:
-    if len(args.cycles) != 3:
-        raise UsageError("--cycles must have exactly 3 entries")
     res = multconst.bad_degree(p, args.cycles)
     return {
         "p": p,
@@ -241,8 +260,6 @@ def _family_entry(fam: addconst.AdditiveFamily) -> dict:
 
 
 def _cmd_additive_family(args, p: int) -> dict:
-    if len(args.cycles) != 2:
-        raise UsageError("--cycles must be e3,e4")
     e3, e4 = args.cycles
     fams = addconst.construct_family(p, e3, e4)
     return {
@@ -256,8 +273,6 @@ def _cmd_additive_family(args, p: int) -> dict:
 
 def _cmd_additive_twist(args) -> dict:
     p = args.p
-    if len(args.cycles) != 2:
-        raise UsageError("--cycles must be e3,e4")
     e3, e4 = args.cycles
     fams = addconst.construct_family(p, e3, e4)
     results = []
@@ -278,6 +293,10 @@ def _cmd_additive_twist(args) -> dict:
     return {"p": p, "e3": e3, "e4": e4, "c": args.c, "results": results}
 
 
+def _cmd_verify(args) -> dict:
+    return verify.run_suite(args.suite, args.p, args.p_max, args.d_max, args.ext)
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -293,8 +312,9 @@ def _parse_sweep(spec: str) -> list[int]:
     return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
-def _run_sweepable(args, body) -> dict:
-    if getattr(args, "sweep", None):
+def _run_sweepable(body, args) -> dict:
+    """body(args, p) at --p, or at each prime of --sweep with errors inline."""
+    if args.sweep:
         if args.p is not None:
             raise UsageError("--p and --sweep are mutually exclusive")
         points = []
@@ -310,35 +330,16 @@ def _run_sweepable(args, body) -> dict:
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        exit_code = 0
-        if args.command == "hurwitz-char0":
-            doc = _cmd_hurwitz_char0(args)
-        elif args.command == "hurwitz-p":
-            doc = _run_sweepable(args, _cmd_hurwitz_p)
-        elif args.command == "three-point":
-            doc = _cmd_three_point(args)
-        elif args.command == "lambda-map":
-            doc = _run_sweepable(args, _cmd_lambda_map)
-        elif args.command == "lift":
-            doc = _cmd_lift(args)
-        elif args.command == "contract":
-            doc = _cmd_contract(args)
-        elif args.command == "fiber-count":
-            doc = _cmd_fiber_count(args)
-        elif args.command == "bad-degree":
-            doc = _run_sweepable(args, _cmd_bad_degree)
-        elif args.command == "additive-family":
-            doc = _run_sweepable(args, _cmd_additive_family)
-        elif args.command == "additive-twist":
-            doc = _cmd_additive_twist(args)
-        elif args.command == "verify":
-            doc = verify.run_suite(args.suite, args.p, args.p_max, args.d_max, args.ext)
-            exit_code = 0 if doc["all_pass"] else 2
-        else:  # pragma: no cover
-            raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        doc = args.body(args)
+        text = json.dumps(doc, indent=2 if args.pretty else None)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise UsageError(f"cannot write --out file: {exc}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -347,12 +348,8 @@ def run(argv) -> int:
         print(out)
         return 2
 
-    text = json.dumps(doc, indent=2 if args.pretty else None)
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return exit_code
+    return 0 if doc.get("all_pass", True) else 2
 
 
 def main() -> None:

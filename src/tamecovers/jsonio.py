@@ -58,7 +58,9 @@ def cover_json(rf: RatFunc, type_seq) -> dict:
 
 
 def ctx_from_json(doc: dict) -> FieldCtx:
-    char = int(doc.get("char", 0))
+    char = doc.get("char", 0)
+    if type(char) is not int:
+        raise UsageError(f"cover file char {char!r} is not an integer")
     if char == 0:
         return make_field(0)
     modulus = doc.get("ext_modulus")
@@ -77,11 +79,18 @@ def ctx_from_json(doc: dict) -> FieldCtx:
     return ctx
 
 
-def cover_from_json(doc: dict) -> tuple[RatFunc, list[int]]:
+def cover_from_json(doc) -> RatFunc:
+    """The cover of a document written by cover_json; its "type" is not read."""
+    if not isinstance(doc, dict):
+        raise UsageError(f"cover file holds a JSON {type(doc).__name__}, not an object")
     ctx = ctx_from_json(doc)
-    num = poly_from_strs(ctx, doc["num"])
-    den = poly_from_strs(ctx, doc["den"])
-    return RatFunc.make(num, den), [int(v) for v in doc.get("type", [])]
+    polys = []
+    for key in ("num", "den"):
+        strs = doc.get(key)
+        if not (isinstance(strs, list) and all(isinstance(s, str) for s in strs)):
+            raise UsageError(f"cover file {key} {strs!r} is not a list of element strings")
+        polys.append(poly_from_strs(ctx, strs))
+    return RatFunc.make(*polys)
 
 
 def parse_cli_elem(p: int, s: str) -> FieldElem:

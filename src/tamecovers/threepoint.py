@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
-from .field import FieldCtx, FieldElem, _pmul, _psub, _trim
+from .field import FieldCtx, _pmul, _psub, _trim
 from .poly import INF, Poly, ProjPoint, RatFunc, poly_gcd
 from .ramify import NormalizedCover, expect_cover
 
@@ -57,16 +57,16 @@ class ThreePointSpec:
 def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
     """Kernel of a matrix over an exact field by Gauss-Jordan elimination.
 
-    Rows and basis vectors are FieldElem lists; the elimination runs on raw
-    values and skips the zero entries of the pivot row, so a banded matrix
-    costs little more than its band.
+    Rows and basis vectors are lists of raw values of ctx (FieldElem.raw);
+    the elimination skips the zero entries of the pivot row, so a banded
+    matrix costs little more than its band.  The rows are not modified.
     """
     if not rows:
         return []
     ncols = len(rows[0])
     zero, one = ctx._zero, ctx._one
     mul, sub = ctx._mul, ctx._sub
-    m = [[v.raw for v in r] for r in rows]
+    m = [list(r) for r in rows]
     pivots = []  # (row, col)
     r = 0
     for c in range(ncols):
@@ -96,7 +96,7 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
         vec[fc] = one
         for pr, pc in pivots:
             vec[pc] = ctx._neg(m[pr][fc])
-        basis.append([FieldElem(ctx, v) for v in vec])
+        basis.append(vec)
     return basis
 
 
@@ -124,14 +124,14 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
             row[j - e1] = ctx._one
         for i in range(max(0, j - e2), min(dc, j) + 1):
             row[na + i] = neg_ym1[j - i]
-        rows.append([FieldElem(ctx, v) for v in row])
+        rows.append(row)
 
     basis = kernel_basis(rows, ctx)
     if len(basis) != 1:
         raise KernelDimensionUnexpected(
             f"kernel dimension {len(basis)} for type ({d}; {e1},{e2},{e3}) over {ctx}"
         )
-    vec = [v.raw for v in basis[0]]
+    vec = basis[0]
     a, c = _trim(ctx, vec[:na]), _trim(ctx, vec[na:])
     b = _psub(ctx, [ctx._zero] * e1 + a, _pmul(ctx, ym1, c))
     A, B, C = (Poly(ctx, tuple(coeffs)) for coeffs in (a, b, c))

@@ -131,6 +131,76 @@ def test_contract_rejects_malformed_ext_modulus(tmp_path, modulus):
     assert "ext_modulus" in err and "Traceback" not in err
 
 
+CONTRACT = ["contract", "--p", "7", "--cover", "{tmp}/c.json", "--lambda", "2", "--mu", "4"]
+
+
+@pytest.mark.parametrize(
+    "cover, argv",
+    [
+        (None, CONTRACT),
+        ("{", CONTRACT),
+        ("[]", CONTRACT),
+        ('{"char": 7, "den": ["1"]}', CONTRACT),
+        ('{"char": 7, "num": ["0", "1"]}', CONTRACT),
+        ('{"char": "x", "num": ["0", "1"], "den": ["1"]}', CONTRACT),
+        (None, ["three-point", "--p", "7", "--cycles", "3,2,2", "--out", "{tmp}/no/dir/out.json"]),
+    ],
+    ids=["missing", "not-json", "list", "no-num", "no-den", "char-not-int", "out-unwritable"],
+)
+def test_unusable_files_are_usage_errors(tmp_path, cover, argv):
+    if cover is not None:
+        (tmp_path / "c.json").write_text(cover, encoding="utf-8")
+    code, out, err = invoke([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ext", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fiber-count", "--p", "5", "--cycles", "3,2,3", "--lambda", "2"],
+        ["hurwitz-p", "--p", "5", "--cycles", "3,2,3"],
+        ["lambda-map", "--p", "5", "--cycles", "3,2,3"],
+        ["verify", "--suite", "paper-examples", "--p", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ext_below_one_is_a_usage_error(argv, ext):
+    code, out, err = invoke(argv + ["--ext", ext])
+    assert (code, out) == (1, "") and "--ext" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["three-point", "--p", "7", "--cycles", "3,2"],
+        ["lambda-map", "--p", "5", "--cycles", "3,2,3,4"],
+        ["lift", "--p", "7", "--cycles", "3,2", "--mu", "4"],
+        ["fiber-count", "--p", "5", "--cycles", "3,2", "--lambda", "2"],
+        ["bad-degree", "--sweep", "p=5..7", "--cycles", "2,3"],
+        ["additive-family", "--p", "5", "--cycles", "2,4,3"],
+        ["additive-twist", "--p", "5", "--cycles", "2", "--c", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cycles_of_the_wrong_length_are_a_usage_error(argv):
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "") and "--cycles" in err
+
+
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
+    built = build_parser.cache_info().misses
+    invoke(["hurwitz-char0", "--d", "3", "--cycles", "2,2,3", "--pretty"])
+    assert invoke(["hurwitz-char0", "--d", "3", "--cycles", "2,2,3"]) == (0, '{"count": 1}\n', "")
+    invoke(["bad-degree", "--sweep", "p=5..7", "--cycles", "2,3,3"])
+    after_sweep = invoke(["bad-degree", "--p", "5", "--cycles", "2,3,3"])
+    assert build_parser.cache_info().misses == built
+    build_parser.cache_clear()
+    assert invoke(["bad-degree", "--p", "5", "--cycles", "2,3,3"]) == after_sweep
+
+
 def test_bad_degree_output():
     doc = invoke_json(["bad-degree", "--p", "5", "--cycles", "2,3,3"])
     assert doc["bad"] == 5 and doc["case"] == "mixed" and doc["quotient"] == 1
