@@ -36,7 +36,6 @@ from .poly import (
     lift_poly,
     lift_ratfunc,
     map_degree,
-    mobius,
     ord_at,
     poly_gcd,
     radical,
@@ -49,7 +48,6 @@ from .ramify import (
     RamType,
     analyze_cover,
     genus_from_type,
-    normalize_cover,
     single_cycle_type,
 )
 from .symhurwitz import (

@@ -51,10 +51,6 @@ class MergedCover:
     rho: FieldElem
     ram_type: RamType
 
-    @property
-    def d(self) -> int:
-        return (sum(self.e) - 2) // 2
-
 
 @dataclass(frozen=True)
 class AdditiveFamily:

@@ -61,10 +61,6 @@ class ConstantMap(DomainError):
     code = "ConstantMap"
 
 
-class SingularMobius(DomainError):
-    code = "SingularMobius"
-
-
 # ramification analysis
 
 class Inseparable(DomainError):
@@ -73,14 +69,6 @@ class Inseparable(DomainError):
 
 class InvalidType(DomainError):
     code = "InvalidType"
-
-
-class DegenerateTriple(DomainError):
-    code = "DegenerateTriple"
-
-
-class MappingMismatch(DomainError):
-    code = "MappingMismatch"
 
 
 # permutation-tuple enumeration

@@ -31,11 +31,10 @@ from itertools import chain, islice
 from .errors import (
     CharZero,
     ConstantMap,
-    DegenerateTriple,
     DivisionByZero,
     InvariantViolated,
     MixedContexts,
-    SingularMobius,
+    UsageError,
     ValueMismatch,
     ZeroDenominator,
 )
@@ -205,9 +204,6 @@ class Poly:
     def monic(self) -> "Poly":
         return Poly(self.ctx, tuple(_pmonic(self.ctx, self.raw)))
 
-    def map_coeffs(self, fn, ctx=None) -> "Poly":
-        return Poly.from_elems(ctx or self.ctx, [fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -368,11 +364,6 @@ class ProjPoint:
     def __repr__(self):
         return "inf" if self.is_infinite else repr(self.value)
 
-    def sort_key(self):
-        if self.is_infinite:
-            return (1, ())
-        return (0, self.value.sort_key())
-
 
 INF = ProjPoint(None)
 
@@ -506,7 +497,7 @@ def lift_ratfunc(f: RatFunc, ext: FieldCtx) -> RatFunc:
 
 def evaluate(f: RatFunc, x) -> ProjPoint:
     """Value of f at a point of P^1, infinity included on both sides."""
-    x = ProjPoint.of(x) if not isinstance(x, ProjPoint) else x
+    x = ProjPoint.of(x)
     if x.is_infinite:
         dn, dd = f.num.degree, f.den.degree
         if dn > dd:
@@ -551,83 +542,6 @@ def ord_at(f: RatFunc, x, target) -> int:
     if target.is_infinite:
         return linear_multiplicity(f.den, x.value)
     return linear_multiplicity(f.fiber_poly(target.value), x.value)
-
-
-# ---------------------------------------------------------------------------
-# Moebius transformations
-
-def _proj_pair(pt: ProjPoint, ctx: FieldCtx):
-    if pt.is_infinite:
-        return ctx.one, ctx.zero
-    return pt.value, ctx.one
-
-
-def mobius_to_std(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint, ctx: FieldCtx):
-    """Matrix (a, b, c, d) of the unique Moebius map p1,p2,p3 -> 0,1,inf."""
-    pts = (p1, p2, p3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if pts[i] == pts[j]:
-                raise DegenerateTriple(f"repeated point {pts[i]} in triple")
-    (u1, v1), (u2, v2), (u3, v3) = (_proj_pair(p, ctx) for p in pts)
-    k_num = v3 * u2 - u3 * v2
-    k_den = v1 * u2 - u1 * v2
-    m = (k_num * v1, -(k_num * u1), k_den * v3, -(k_den * u3))
-    if (m[0] * m[3] - m[1] * m[2]).is_zero:
-        raise SingularMobius("triple does not determine an invertible map")
-    return m
-
-
-def mobius_inverse(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def apply_mobius(m, pt: ProjPoint) -> ProjPoint:
-    a, b, c, d = m
-    u, v = _proj_pair(pt, a.ctx)
-    nu, nv = a * u + b * v, c * u + d * v
-    if nv.is_zero:
-        return INF
-    return ProjPoint(nu / nv)
-
-
-def identity_mobius(ctx: FieldCtx):
-    return (ctx.one, ctx.zero, ctx.zero, ctx.one)
-
-
-def mobius(f: RatFunc, pre=None, post=None) -> RatFunc:
-    """post o f o pre for Moebius maps given as (a, b, c, d) tuples."""
-    ctx = f.ctx
-    pre = pre if pre is not None else identity_mobius(ctx)
-    post = post if post is not None else identity_mobius(ctx)
-    pre = tuple(ctx.elem(c) for c in pre)
-    post = tuple(ctx.elem(c) for c in post)
-    for mat in (pre, post):
-        if (mat[0] * mat[3] - mat[1] * mat[2]).is_zero:
-            raise SingularMobius("Moebius matrix with zero determinant")
-    a, b, c, d = pre
-    m = max(f.num.degree, f.den.degree)
-    lin_num = Poly.from_elems(ctx, [b, a])  # a*y + b
-    lin_den = Poly.from_elems(ctx, [d, c])  # c*y + d
-
-    pows_n = [Poly.one(ctx)]
-    pows_d = [Poly.one(ctx)]
-    for _ in range(m):
-        pows_n.append(pows_n[-1] * lin_num)
-        pows_d.append(pows_d[-1] * lin_den)
-
-    def substitute(p: Poly) -> Poly:
-        acc = Poly.zero(ctx)
-        for i, coeff in enumerate(p.coeffs):
-            if not coeff.is_zero:
-                acc = acc + pows_n[i] * pows_d[m - i] * coeff
-        return acc
-
-    num2 = substitute(f.num)
-    den2 = substitute(f.den)
-    pa, pb, pc, pd = post
-    return RatFunc.make(num2 * pa + den2 * pb, num2 * pc + den2 * pd)
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +626,8 @@ def _distinct_degree(f: Poly, max_k: int):
     gcd(y^(p^(k+1)) - y, rest) meets no root of a smaller degree (von zur
     Gathen and Gerhard, Modern Computer Algebra, 14.2).
     """
+    if max_k < 1:
+        raise UsageError(f"extension degree bound must be >= 1, got {max_k}")
     p = f.ctx.characteristic
     rest = radical(f)
     x = Poly.x(f.ctx)

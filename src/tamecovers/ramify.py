@@ -18,13 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateTriple,
-    Inseparable,
-    InvalidType,
-    InvariantViolated,
-    MappingMismatch,
-)
+from .errors import Inseparable, InvalidType, InvariantViolated
 from .field import ExtField, FieldElem
 from .poly import (
     DEFAULT_EXT,
@@ -35,9 +29,6 @@ from .poly import (
     evaluate,
     lift_ratfunc,
     map_degree,
-    mobius,
-    mobius_inverse,
-    mobius_to_std,
     ord_at,
     rational_roots,
     roots,
@@ -270,24 +261,3 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
     elif branch is not None and a.branch_points != tuple(branch):
         fail(f"branch points are {a.branch_points}, expected {tuple(branch)}")
     return a.ram_type
-
-
-def normalize_cover(f: RatFunc, source_triple, target_triple) -> NormalizedCover:
-    """Apply the unique Moebius pair putting the chosen ramification points
-    at 0, 1, infinity over 0, 1, infinity."""
-    ctx = f.ctx
-    src = tuple(ProjPoint.of(p) for p in source_triple)
-    tgt = tuple(ProjPoint.of(p) for p in target_triple)
-    for triple in (src, tgt):
-        if triple[0] == triple[1] or triple[0] == triple[2] or triple[1] == triple[2]:
-            raise DegenerateTriple(f"triple {triple} has a repeated point")
-    for s, t in zip(src, tgt):
-        if evaluate(f, s) != t:
-            raise MappingMismatch(f"f({s}) = {evaluate(f, s)} but {t} was claimed")
-    pre = mobius_inverse(mobius_to_std(*src, ctx))
-    post = mobius_to_std(*tgt, ctx)
-    g = mobius(f, pre=pre, post=post)
-    for pt in (ProjPoint(ctx.zero), ProjPoint(ctx.one), INF):
-        if evaluate(g, pt) != pt:
-            raise InvariantViolated(f"normalized cover does not fix {pt}")
-    return NormalizedCover(cover=g)

@@ -22,10 +22,12 @@ from tamecovers.multconst import (
     lift,
     supersingular_values,
 )
-from tamecovers.poly import Poly, RatFunc, lift_ratfunc, mobius
+from tamecovers.poly import Poly, RatFunc, lift_ratfunc
 from tamecovers.ramify import analyze_cover, genus_from_type, single_cycle_type
 from tamecovers.symhurwitz import verify_min_formula
 from tamecovers.threepoint import ThreePointSpec, solve_three_point
+
+from mobius_helper import mobius
 
 QQ = make_field(0)
 PRIMES = (5, 7, 11, 13)

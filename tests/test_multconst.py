@@ -9,6 +9,7 @@ from tamecovers.errors import (
     MinNotAtFirst,
     NoCovers,
     NotRamifiedHere,
+    UsageError,
     WrongIndex,
 )
 from tamecovers.field import make_field
@@ -24,7 +25,7 @@ from tamecovers.multconst import (
     p_hurwitz_4pt,
     supersingular_values,
 )
-from tamecovers.poly import INF, Poly, RatFunc, lift_ratfunc, roots
+from tamecovers.poly import INF, Poly, RatFunc, count_roots_by_degree, lift_ratfunc, roots
 from tamecovers.threepoint import ThreePointSpec, solve_three_point
 
 F5 = make_field(5)
@@ -220,6 +221,24 @@ def test_supersingular_helper_matches_lifted_values():
     assert is_supersingular_value(L, F5.from_int(4))
     assert is_supersingular_value(L, F5.from_int(4).lift_to(F25))
     assert not is_supersingular_value(L, F5.from_int(2))
+
+
+def test_extension_bound_below_one_is_rejected():
+    # a bound below 1 searches no field, so its empty answer would pass for
+    # an exact one; with a bound that reaches them the same calls find roots
+    L = lambda_map(F5, FourPointType(5, 3, 2, 3))
+    h_den = L.base.cover.den
+    assert count_covers_at(L, F5.from_int(2), 3) == 3
+    assert [s.raw for s in supersingular_values(L, 1)] == [4]
+    assert roots(h_den, 1) and count_roots_by_degree(h_den, 1)
+    for call in (
+        lambda: count_covers_at(L, F5.from_int(2), 0),
+        lambda: supersingular_values(L, 0),
+        lambda: roots(h_den, -1),
+        lambda: count_roots_by_degree(h_den, 0),
+    ):
+        with pytest.raises(UsageError):
+            call()
 
 
 # -- bad degree --------------------------------------------------------------

@@ -2,22 +2,13 @@ import random
 
 import pytest
 
-from tamecovers.errors import (
-    DegenerateTriple,
-    Inseparable,
-    InvalidType,
-    MappingMismatch,
-    NoSuchCover,
-)
+from tamecovers.errors import Inseparable, InvalidType, NoSuchCover
 from tamecovers.field import make_field
 from tamecovers.poly import (
     INF,
     Poly,
     ProjPoint,
     RatFunc,
-    apply_mobius,
-    mobius,
-    mobius_inverse,
     rational_roots,
 )
 from tamecovers.ramify import (
@@ -25,9 +16,10 @@ from tamecovers.ramify import (
     analyze_cover,
     expect_cover,
     genus_from_type,
-    normalize_cover,
     single_cycle_type,
 )
+
+from mobius_helper import mobius
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -144,40 +136,6 @@ def test_ram_type_is_mobius_invariant():
         got = analyze_cover(g).ram_type
         assert got.d == base.d
         assert sorted(got.classes) == sorted(base.classes)
-
-
-def test_normalize_cover_round_trip():
-    f = RatFunc.from_poly(P(QQ, 0, 0, 3, -2))
-    rng = random.Random(2)
-    std = (ProjPoint(QQ.zero), ProjPoint(QQ.one), INF)
-    for _ in range(5):
-        while True:
-            pre = tuple(QQ.from_int(rng.randrange(-4, 5)) for _ in range(4))
-            post = tuple(QQ.from_int(rng.randrange(-4, 5)) for _ in range(4))
-            if not (pre[0] * pre[3] - pre[1] * pre[2]).is_zero and not (
-                post[0] * post[3] - post[1] * post[2]
-            ).is_zero:
-                break
-        g = mobius(f, pre=pre, post=post)
-        src = tuple(apply_mobius(mobius_inverse(pre), q) for q in std)
-        tgt = tuple(apply_mobius(post, q) for q in std)
-        nc = normalize_cover(g, src, tgt)
-        assert nc.cover == f
-
-
-def test_normalize_cover_idempotent():
-    f = RatFunc.from_poly(P(QQ, 0, 0, 3, -2))
-    std = (ProjPoint(QQ.zero), ProjPoint(QQ.one), INF)
-    assert normalize_cover(f, std, std).cover == f
-
-
-def test_normalize_cover_errors():
-    f = RatFunc.from_poly(P(QQ, 0, 0, 3, -2))
-    std = (ProjPoint(QQ.zero), ProjPoint(QQ.one), INF)
-    with pytest.raises(DegenerateTriple):
-        normalize_cover(f, (std[0], std[0], INF), std)
-    with pytest.raises(MappingMismatch):
-        normalize_cover(f, std, (ProjPoint(QQ.one), ProjPoint(QQ.zero), INF))
 
 
 def test_partial_analysis_is_flagged_not_fatal():

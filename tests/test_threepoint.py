@@ -6,9 +6,11 @@ import pytest
 
 from tamecovers.errors import InvalidType, NoSuchCover
 from tamecovers.field import FieldElem, make_field
-from tamecovers.poly import INF, Poly, ProjPoint, RatFunc, evaluate, mobius
+from tamecovers.poly import INF, Poly, ProjPoint, RatFunc, evaluate
 from tamecovers.ramify import analyze_cover, genus_from_type, single_cycle_type
 from tamecovers.threepoint import ThreePointSpec, kernel_basis, solve_three_point
+
+from mobius_helper import mobius
 
 QQ = make_field(0)
 F5 = make_field(5)
@@ -61,7 +63,7 @@ def test_solution_reduces_mod_p():
             fr = c.raw
             return Fp.from_int(fr.numerator) / Fp.from_int(fr.denominator)
 
-        return RatFunc.make(rf.num.map_coeffs(red, Fp), rf.den.map_coeffs(red, Fp))
+        return RatFunc.make(*(Poly.from_elems(Fp, map(red, g.coeffs)) for g in (rf.num, rf.den)))
 
     for spec in [ThreePointSpec(3, 2, 2), ThreePointSpec(2, 2, 3), ThreePointSpec(4, 3, 2)]:
         over_q = solve_three_point(QQ, spec).cover
