@@ -39,7 +39,6 @@ from .poly import (
     ord_at,
     poly_gcd,
     radical,
-    rational_roots,
     roots,
 )
 from .ramify import (

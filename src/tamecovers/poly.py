@@ -25,7 +25,6 @@ the roots of smaller degree are peeled off.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain, islice
 
 from .errors import (
@@ -56,9 +55,6 @@ from .field import (
 
 # default bound on the extension degree k of the fields F_{p^k} searched
 DEFAULT_EXT = 6
-
-# caps for the rational-root divisor scan over Q
-_FACTOR_TRIAL_LIMIT = 2_000_000
 
 
 class Poly:
@@ -598,7 +594,7 @@ def roots(f: Poly, max_ext_degree: int = DEFAULT_EXT) -> list[tuple[FieldElem, i
     """
     ctx = f.ctx
     if ctx.characteristic == 0:
-        raise CharZero("roots over Q are limited to rational_roots")
+        raise CharZero("root finding needs characteristic p")
     if f.is_zero:
         raise DivisionByZero("root finding on the zero polynomial")
     n = ctx.n if isinstance(ctx, ExtField) else None
@@ -661,79 +657,9 @@ def count_roots_by_degree(f: Poly, max_k: int) -> dict[int, int]:
     return minimal
 
 
-def rational_roots(f: Poly) -> tuple[list[tuple[FieldElem, int]], bool]:
-    """Rational roots of f over Q by divisor scan.
-
-    Returns (roots with multiplicities, complete).  When the leading or
-    trailing integer coefficient is too large to factor within the
-    trial-division budget, ``complete`` is False and only the root at zero,
-    if any, is returned.
-    """
-    ctx = f.ctx
-    if ctx.characteristic != 0:
-        raise CharZero("rational_roots is the characteristic-zero path")
-    if f.is_zero:
-        raise DivisionByZero("root finding on the zero polynomial")
-    out: list[tuple[FieldElem, int]] = []
-    # strip the root at zero first
-    v = 0
-    while f.raw[v] == 0:
-        v += 1
-    if v:
-        out.append((ctx.zero, v))
-        f = Poly(ctx, f.raw[v:])
-    if f.degree == 0:
-        return out, True
-
-    ints = clear_denominators(f.raw)
-
-    d0 = _bounded_divisors(abs(ints[0]))
-    dl = _bounded_divisors(abs(ints[-1]))
-    if d0 is None or dl is None:
-        return out, False
-
-    seen = set()
-    for num in d0:
-        for den in dl:
-            fr = Fraction(num, den)
-            for cand in (fr, -fr):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                r = ctx.from_fraction(cand)
-                m = linear_multiplicity(f, r)
-                if m:
-                    out.append((r, m))
-    out.sort(key=lambda t: t[0].sort_key())
-    return out, True
-
-
 def clear_denominators(fracs) -> list[int]:
     """The primitive integer vector proportional to a nonzero rational one."""
     scale = math.lcm(*(fr.denominator for fr in fracs))
     ints = [int(fr * scale) for fr in fracs]
     g = math.gcd(*ints)
     return [v // g for v in ints]
-
-
-def _bounded_divisors(n: int):
-    """All positive divisors of n, or None if factoring exceeds the budget."""
-    if n == 0:
-        return None
-    divs = [1]
-    rem = n
-    d = 2
-    while d * d <= rem:
-        if d > _FACTOR_TRIAL_LIMIT:
-            return None
-        if rem % d == 0:
-            powers = []
-            while rem % d == 0:
-                rem //= d
-                powers.append(d ** (len(powers) + 1))
-            divs = [a * b for a in divs for b in [1] + powers]
-        d += 1 if d == 2 else 2
-    if rem > 1:
-        divs = divs + [a * rem for a in divs]
-    return sorted(set(divs))
-

@@ -1,13 +1,16 @@
 """Ramification analysis of rational self-maps of the projective line.
 
-``analyze_cover`` locates the critical points of a separable map, computes
-ramification indices and branch points, and derives the
-ramification type and its Riemann-Hurwitz genus.  Completeness is tracked
-honestly: the located critical points are complete exactly when their
-multiplicities in the derivative numerator W sum to deg W, since W splits
-over the algebraic closure.  Callers that construct covers with known
-ramification points pass them as ``candidates``; the same bookkeeping then
-certifies the type without any root search.
+Every construction here knows its ramification points in advance, so
+``analyze_cover`` never searches for roots: it does the bookkeeping at the
+named points ``candidates`` (elements of the map's own field) and at
+infinity.  It computes the ramification index of each named point, the
+branch points and, when complete, the ramification type, whose
+Riemann-Hurwitz genus ``genus_from_type`` gives.  The analysis is complete
+exactly when dividing the derivative numerator W by each named point's
+multiplicity in it leaves a constant.  To analyse a map over a small finite
+field without knowing its critical points, name every element
+(``candidates=ctx.elements()``), lifting the map first into a field that
+holds them.
 
 ``expect_cover`` is the one certification step of the constructions: it
 runs the analysis once and raises the caller's error class naming the
@@ -19,19 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Inseparable, InvalidType, InvariantViolated
-from .field import ExtField, FieldElem
 from .poly import (
-    DEFAULT_EXT,
     INF,
-    Poly,
     ProjPoint,
     RatFunc,
     evaluate,
-    lift_ratfunc,
     map_degree,
     ord_at,
-    rational_roots,
-    roots,
     synthetic_div,
 )
 
@@ -93,7 +90,7 @@ class CoverAnalysis:
     map: RatFunc
     degree: int
     tame: bool
-    complete: bool  # all critical points located
+    complete: bool  # the named points account for every critical point
     ram_points: tuple[tuple[ProjPoint, int], ...]
     branch_points: tuple[ProjPoint, ...]
     ram_type: RamType | None
@@ -116,36 +113,23 @@ class NormalizedCover:
 
 def _pt_sort_key(pt: ProjPoint):
     if pt.is_infinite:
-        return (1, 0, ())
-    ctx = pt.value.ctx
-    n = ctx.n if isinstance(ctx, ExtField) else 1
+        return (1, ())
     key = pt.value.sort_key()
     if not isinstance(key, tuple):
         key = (key,)
-    return (0, n, key)
+    return (0, key)
 
 
-def _residual_roots(P: Poly, max_ext_degree: int) -> list[tuple[FieldElem, int]]:
-    """Roots of P with multiplicities.  Over Q only rational roots are
-    reachable; otherwise ``roots`` does the search."""
-    if P.ctx.characteristic == 0:
-        return rational_roots(P)[0]
-    return [(r, m) for r, m, _k in roots(P, max_ext_degree)]
-
-
-def analyze_cover(
-    f: RatFunc,
-    max_ext_degree: int = DEFAULT_EXT,
-    candidates=(),
-) -> CoverAnalysis:
-    """Full ramification analysis of a nonconstant separable map."""
+def analyze_cover(f: RatFunc, candidates) -> CoverAnalysis:
+    """Ramification bookkeeping of a nonconstant separable map at the named
+    finite points ``candidates`` (elements of f's field) and at infinity."""
     ctx = f.ctx
     d = map_degree(f)  # raises ConstantMap on constants
     W = f.num.derivative() * f.den - f.num * f.den.derivative()
     if W.is_zero:
         raise Inseparable("derivative data vanishes identically")
 
-    located: list[tuple[FieldElem, int]] = []
+    ram_points: list[tuple[ProjPoint, int]] = []
     residual = W
     seen = set()
     for cand in candidates:
@@ -162,27 +146,15 @@ def analyze_cover(
             residual = q
             m += 1
         if m:
-            located.append((x, m))
-
+            pt = ProjPoint(x)
+            ram_points.append((pt, ord_at(f, pt, evaluate(f, pt))))
     complete = residual.degree <= 0
-    if not complete:
-        # discovered roots may live in tower fields, so account for the
-        # remaining critical mass by multiplicities instead of deflating
-        extra = _residual_roots(residual, max_ext_degree)
-        located.extend(extra)
-        complete = sum(m for _r, m in extra) == residual.degree
 
-    ram_points: list[tuple[ProjPoint, int]] = []
-    for x, _m in located:
-        pt = ProjPoint(x)
-        fl = lift_ratfunc(f, x.ctx)
-        e = ord_at(fl, pt, evaluate(fl, pt))
-        ram_points.append((pt, e))
     e_inf = ord_at(f, INF, evaluate(f, INF))
     if e_inf >= 2:
         ram_points.append((INF, e_inf))
     ram_points.sort(key=lambda pe: _pt_sort_key(pe[0]))
-    images = [_image(f, pt) for pt, _e in ram_points]
+    images = [evaluate(f, pt) for pt, _e in ram_points]
     branch_points = tuple(sorted(set(images), key=_pt_sort_key))
 
     p = ctx.characteristic
@@ -210,18 +182,6 @@ def analyze_cover(
     )
 
 
-def _image(f: RatFunc, pt: ProjPoint) -> ProjPoint:
-    """f(pt), written in f's own field when it is F_p-rational, so that one
-    branch value reached from points of different field degrees is one
-    branch point."""
-    if pt.is_infinite or pt.value.ctx is f.ctx:
-        return evaluate(f, pt)
-    v = evaluate(lift_ratfunc(f, pt.value.ctx), pt)
-    if v.is_infinite or v.value.min_degree() != 1:
-        return v
-    return ProjPoint(f.ctx.from_int(v.value.raw[0]))
-
-
 def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
                  degree=None) -> RamType:
     """Certify that f has the claimed ramification, or raise exc.
@@ -230,9 +190,10 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
     None where it is not claimed; the finite points are the candidates of a
     single ``analyze_cover``.  ``images`` lists (point, value) pairs and
     ``branch`` is the exact branch-point tuple or their number.  The
-    clauses are checked in a fixed order: complete, tame, degree,
-    ramification-point count, index at each point, image of each point,
-    branch points.  The detail of exc names the first failing clause.
+    clauses are checked in a fixed order: tame, degree, index at each named
+    point, image of each named point, complete (the named points account
+    for every critical point), ramification-point count, branch points.
+    The detail of exc names the first failing clause.
     """
     points = [(ProjPoint.of(x), e) for x, e in points]
     a = analyze_cover(f, candidates=[x for x, _e in points])
@@ -240,14 +201,10 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
     def fail(clause: str):
         raise exc(f"{what} failed type verification: {clause}")
 
-    if not a.complete:
-        fail("complete: some critical points lie outside the searched extensions")
     if not a.tame:
         fail(f"tame: an index is divisible by p = {f.ctx.characteristic}")
     if degree is not None and a.degree != degree:
         fail(f"degree is {a.degree}, expected {degree}")
-    if len(a.ram_points) != len(points):
-        fail(f"{len(a.ram_points)} ramification points, expected {len(points)}")
     for x, e in points:
         if e is not None and a.index_at(x) != e:
             fail(f"index at {x} is {a.index_at(x)}, expected {e}")
@@ -255,6 +212,10 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
         value = evaluate(f, x)
         if value != y:
             fail(f"image of {x} is {value}, expected {y}")
+    if not a.complete:
+        fail("complete: the named points do not account for every critical point")
+    if len(a.ram_points) != len(points):
+        fail(f"{len(a.ram_points)} ramification points, expected {len(points)}")
     if isinstance(branch, int):
         if len(a.branch_points) != branch:
             fail(f"{len(a.branch_points)} branch points, expected {branch}")

@@ -141,6 +141,11 @@ def hurwitz_char0(d: int, cycles) -> TupleClassCount:
     """Count single-cycle tuples with identity product and transitive span,
     up to simultaneous conjugation."""
     cycles = _validate(d, cycles)
+    # Riemann-Hurwitz: the product is even only for an even sum, and a
+    # transitive tuple needs sum(e_i - 1) >= 2d - 2 (genus >= 0)
+    ramification = sum(e - 1 for e in cycles)
+    if ramification % 2 or ramification < 2 * d - 2:
+        return TupleClassCount(d=d, cycle_lengths=cycles, count=0)
     es = sorted(cycles, reverse=True)
     e_fix, e_solve, rest = es[0], es[1], es[2:]
 

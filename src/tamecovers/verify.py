@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from . import addconst, jsonio, multconst, symhurwitz
-from .errors import DomainError, FormulaMismatch, InvalidMu, MixedContexts, UsageError
+from .errors import DegreeTooLarge, DomainError, FormulaMismatch, InvalidMu, MixedContexts, UsageError
 from .field import is_prime, make_field
 from .poly import DEFAULT_EXT, lift_ratfunc
 from .threepoint import ThreePointSpec, solve_three_point
@@ -192,6 +192,10 @@ def _roundtrip(ps: list[int]) -> list[dict]:
 
 
 def _oracle(d_max: int, ext: int) -> list[dict]:
+    cap = symhurwitz.DEGREE_CAP
+    if d_max > cap:
+        # the enumeration would fail at degree cap + 1; fail before it starts
+        raise DegreeTooLarge(f"degree {cap + 1} exceeds the enumeration cap {cap}")
     checks = []
     n_types = 0
     for d in range(3, d_max + 1):

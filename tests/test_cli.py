@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from tamecovers import multconst
+from tamecovers import multconst, symhurwitz
 from tamecovers.cli import build_parser, run
+from tamecovers.errors import DegreeTooLarge
 from tamecovers.verify import run_suite
 
 
@@ -279,6 +280,25 @@ def test_verify_formulas_reports_a_wrong_closed_form(monkeypatch):
     code, out, _err = invoke(["verify", "--suite", "formulas", "--p_max", "5"])
     assert code == 2
     assert json.loads(out)["checks"] == doc["checks"]
+
+
+def test_verify_oracle_above_the_degree_cap_fails_before_enumerating(monkeypatch):
+    # the document is the one the enumeration raises at degree cap + 1
+    cap = symhurwitz.DEGREE_CAP
+    calls = 0
+    real = symhurwitz.hurwitz_char0
+
+    def counting(d, cycles):
+        nonlocal calls
+        calls += 1
+        return real(d, cycles)
+
+    with pytest.raises(DegreeTooLarge) as info:
+        real(cap + 1, (2, 2, cap + 1, cap + 1))
+    monkeypatch.setattr(symhurwitz, "hurwitz_char0", counting)
+    code, out, _err = invoke(["verify", "--suite", "oracle", "--d_max", str(cap + 1)])
+    assert (code, calls) == (2, 0)
+    assert json.loads(out) == {"error": "DegreeTooLarge", "detail": info.value.detail}
 
 
 def test_verify_roundtrip_suite_small():

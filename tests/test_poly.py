@@ -27,7 +27,6 @@ from tamecovers.poly import (
     pow_mod,
     pth_root,
     radical,
-    rational_roots,
     roots,
 )
 
@@ -332,13 +331,6 @@ def test_splitting_conjugate_pairs_takes_few_pow_mods(monkeypatch):
     got = roots(f, 2)
     assert len(got) == 12 and all(k == 2 and m == 1 for _r, m, k in got)
     assert calls <= 2 * len(got)
-
-
-def test_rational_roots_with_multiplicities():
-    f = P(QQ, 2, -3, 1) * P(QQ, 0, 1) ** 2 * P(QQ, -1, 3)
-    got, complete = rational_roots(f)
-    assert complete
-    assert [(repr(r), m) for r, m in got] == [("0", 2), ("1/3", 1), ("1", 1), ("2", 1)]
 
 
 def test_linear_multiplicity():

@@ -9,7 +9,8 @@ from tamecovers.poly import (
     Poly,
     ProjPoint,
     RatFunc,
-    rational_roots,
+    lift_ratfunc,
+    roots,
 )
 from tamecovers.ramify import (
     RamType,
@@ -20,6 +21,7 @@ from tamecovers.ramify import (
 )
 
 from mobius_helper import mobius
+from three_point_oracle import is_three_point
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -31,7 +33,7 @@ def P(ctx, *ints):
 
 
 def test_analyze_squaring_map():
-    a = analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 1)))
+    a = analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 1)), candidates=F5.elements())
     assert a.complete and a.tame
     assert a.branch_points == (ProjPoint(F5.zero), INF)
     assert a.ram_type == RamType(2, ((2,), (2,)))
@@ -68,8 +70,16 @@ def test_expect_cover_returns_the_type_and_checks_tameness():
         expect_cover(RatFunc.from_poly(P(F3, 0, 1, 0, 1)), NoSuchCover, "y^3 + y", ((INF, 3),))
 
 
+def test_expect_cover_names_unnamed_critical_points():
+    # y^3 - y over F_5 has critical points +-sqrt(2), which the claim omits
+    with pytest.raises(NoSuchCover) as info:
+        expect_cover(RatFunc.from_poly(P(F5, 0, -1, 0, 1)), NoSuchCover, "y^3 - y", ((INF, 3),))
+    assert info.value.detail == ("y^3 - y failed type verification: complete: "
+                                 "the named points do not account for every critical point")
+
+
 def test_analyze_three_point_cover_over_F7():
-    a = analyze_cover(RatFunc.from_poly(P(F7, 0, 0, 3, -2)))
+    a = analyze_cover(RatFunc.from_poly(P(F7, 0, 0, 3, -2)), candidates=F7.elements())
     assert a.complete and a.tame
     assert a.branch_points == (ProjPoint(F7.zero), ProjPoint(F7.one), INF)
     assert a.ram_type == single_cycle_type(3, (2, 2, 3))
@@ -80,21 +90,24 @@ def test_analyze_three_point_cover_over_F7():
 
 def test_branch_value_reached_from_two_field_degrees_is_one_branch_point():
     # q^2 c^2 over F_13: q has roots in F_{13^2}, c in F_{13^3}, and every
-    # one of the five double roots maps to 0
+    # one of the five double roots maps to 0; the other critical points have
+    # degree 4, so all of them lie in F_{13^12}
     F13 = make_field(13)
     q = P(F13, 1, 3, 1)
     c = P(F13, 1, 0, 4, 1)
-    a = analyze_cover(RatFunc.from_poly(q * q * c * c))
+    F = make_field(13, 12)
+    f = lift_ratfunc(RatFunc.from_poly(q * q * c * c), F)
+    a = analyze_cover(f, candidates=[r for r, _m, _k in roots(f.num.derivative())])
     assert a.complete
     assert len(a.branch_points) == 6
-    assert a.branch_points[0] == ProjPoint(F13.zero)
+    assert a.branch_points[0] == ProjPoint(F.zero)
     simple = (2,) + (1,) * 8
     assert a.ram_type == RamType(10, ((2, 2, 2, 2, 2),) + (simple,) * 4 + ((10,),))
 
 
 def test_analyze_rejects_inseparable():
     with pytest.raises(Inseparable):
-        analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 0, 0, 0, 1)))
+        analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 0, 0, 0, 1)), candidates=())
 
 
 def test_genus_examples():
@@ -108,14 +121,17 @@ def test_genus_examples():
 
 
 def test_analyzed_tame_covers_have_genus_zero():
-    for f in [
-        RatFunc.from_poly(P(QQ, 0, 0, 3, -2)),
-        RatFunc.make(P(QQ, 0, 0, 0, 1), P(QQ, -2, 3)),
-        RatFunc.from_poly(P(F7, 0, 0, 3, -2)),
+    # over Q, W = lc*y^(e1-1)(y-1)^(e2-1) and a pole of order e3 at infinity
+    # pin the type without analyze_cover
+    for f, es in [
+        (RatFunc.from_poly(P(QQ, 0, 0, 3, -2)), (2, 2, 3)),
+        (RatFunc.make(P(QQ, 0, 0, 0, 1), P(QQ, -2, 3)), (3, 2, 2)),
     ]:
-        a = analyze_cover(f)
-        assert a.complete
-        assert genus_from_type(a.ram_type) == 0
+        assert is_three_point(f, es)
+        assert genus_from_type(single_cycle_type(3, es)) == 0
+    a = analyze_cover(RatFunc.from_poly(P(F7, 0, 0, 3, -2)), candidates=F7.elements())
+    assert a.complete
+    assert genus_from_type(a.ram_type) == 0
 
 
 def _random_mobius(ctx, rng):
@@ -129,11 +145,11 @@ def test_ram_type_is_mobius_invariant():
     # scrambling permutes the branch points, so compare partition multisets
     rng = random.Random(21)
     f = RatFunc.from_poly(P(F7, 0, 0, 3, -2))
-    base = analyze_cover(f).ram_type
+    base = analyze_cover(f, candidates=F7.elements()).ram_type
     for _ in range(10):
         pre, post = _random_mobius(F7, rng), _random_mobius(F7, rng)
         g = mobius(f, pre=pre, post=post)
-        got = analyze_cover(g).ram_type
+        got = analyze_cover(g, candidates=F7.elements()).ram_type
         assert got.d == base.d
         assert sorted(got.classes) == sorted(base.classes)
 
@@ -141,28 +157,17 @@ def test_ram_type_is_mobius_invariant():
 def test_partial_analysis_is_flagged_not_fatal():
     # critical points of y^3 - y over F_5 sit at +-sqrt(2), outside F_5
     f = RatFunc.from_poly(P(F5, 0, -1, 0, 1))
-    a = analyze_cover(f, max_ext_degree=1)
+    a = analyze_cover(f, candidates=F5.elements())
     assert not a.complete
     assert a.ram_type is None
-    full = analyze_cover(f, max_ext_degree=2)
+    F25 = make_field(5, 2)
+    full = analyze_cover(lift_ratfunc(f, F25), candidates=F25.elements())
     assert full.complete
     assert all(k == 2 for pt, _e in full.ram_points if not pt.is_infinite
                for k in [pt.value.min_degree()])
 
 
-def test_unfactorable_coefficients_give_an_incomplete_analysis_over_q():
-    # both prime factors of N lie beyond the trial-division budget, so the
-    # divisor scan gives up rather than guess, though y = 2 is a root
-    N = 2000003 * 2000029
-    f = P(QQ, 2, -(2 * N + 1), N)  # (N*y - 1)*(y - 2)
-    assert rational_roots(f) == ([], False)
-    # W of this polynomial map is 6*f
-    a = analyze_cover(RatFunc.from_poly(P(QQ, 0, 12, -3 * (2 * N + 1), 2 * N)))
-    assert not a.complete
-    assert a.ram_type is None
-
-
 def test_three_point_cover_is_single_cycle():
     # one part > 1 per partition: one ramified point over each branch point
-    a = analyze_cover(RatFunc.make(P(F7, 0, 0, 0, 1), P(F7, -2, 3)))
+    a = analyze_cover(RatFunc.make(P(F7, 0, 0, 0, 1), P(F7, -2, 3)), candidates=F7.elements())
     assert a.ram_type.single_cycle == (3, 2, 2)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from tamecovers import symhurwitz
 from tamecovers.errors import DegreeTooLarge, InvalidCycleLength, NotGenusZero
 from tamecovers.symhurwitz import (
     compose,
@@ -77,6 +78,29 @@ def test_dedup_agrees_with_naive_orbit_count():
                 if sum(e - 1 for e in es) != 2 * d - 2:
                     continue
                 assert hurwitz_char0(d, es).count == naive_orbit_count(d, es), (d, es)
+
+
+def test_types_riemann_hurwitz_rules_out_count_zero():
+    # an odd sum(e_i - 1) makes the product odd, and one below 2d - 2 leaves
+    # no transitive tuple; the naive enumeration agrees on every such type
+    excluded = 0
+    for d in range(1, 6):
+        for r in (3, 4):
+            for es in itertools.combinations_with_replacement(range(1, d + 1), r):
+                ramification = sum(e - 1 for e in es)
+                if ramification % 2 == 0 and ramification >= 2 * d - 2:
+                    continue
+                excluded += 1
+                assert hurwitz_char0(d, es).count == 0 == naive_orbit_count(d, es), (d, es)
+    assert excluded == 136
+
+
+def test_ruled_out_type_enumerates_nothing(monkeypatch):
+    def no_enumeration(d, e):
+        raise AssertionError(f"enumerated the {e}-cycles of S_{d}")
+
+    monkeypatch.setattr(symhurwitz, "single_cycles", no_enumeration)
+    assert hurwitz_char0(9, (5, 5, 5, 3)).count == 0  # sum(e_i - 1) = 14 < 16
 
 
 def test_five_point_type_runs():

@@ -7,10 +7,11 @@ import pytest
 from tamecovers.errors import InvalidType, NoSuchCover
 from tamecovers.field import FieldElem, make_field
 from tamecovers.poly import INF, Poly, ProjPoint, RatFunc, evaluate
-from tamecovers.ramify import analyze_cover, genus_from_type, single_cycle_type
+from tamecovers.ramify import genus_from_type, single_cycle_type
 from tamecovers.threepoint import ThreePointSpec, kernel_basis, solve_three_point
 
 from mobius_helper import mobius
+from three_point_oracle import is_three_point
 
 QQ = make_field(0)
 F5 = make_field(5)
@@ -78,9 +79,8 @@ def test_uniqueness_and_exact_type_small_sweep():
                 continue
             nc = solve_three_point(QQ, ThreePointSpec(*es))
             assert nc.ram_type == single_cycle_type(d, es)
-            a = analyze_cover(nc.cover)
-            assert a.complete and a.ram_type == nc.ram_type
-            assert genus_from_type(a.ram_type) == 0
+            assert is_three_point(nc.cover, es)
+            assert genus_from_type(nc.ram_type) == 0
 
 
 def test_solve_succeeds_at_degree_thirty():
@@ -97,13 +97,7 @@ def test_perturbed_solution_fails_the_side_conditions():
         coeffs = list(nc.cover.num.coeffs)
         coeffs[idx] = coeffs[idx] + QQ.one
         bad = RatFunc.make(Poly.from_elems(QQ, coeffs), nc.cover.den)
-        a = analyze_cover(bad)
-        assert not (
-            a.complete
-            and a.ram_type == nc.ram_type
-            and a.index_at(QQ.zero) == 3
-            and a.index_at(INF) == 2
-        )
+        assert not is_three_point(bad, (3, 2, 2))
 
 
 def test_symmetry_swapping_e1_e2():
