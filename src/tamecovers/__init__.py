@@ -29,7 +29,6 @@ from .multconst import (
 from .poly import (
     INF,
     Poly,
-    ProjPoint,
     RatFunc,
     count_roots_by_degree,
     evaluate,

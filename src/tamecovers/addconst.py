@@ -36,7 +36,7 @@ from .errors import (
     TypeDegenerates,
 )
 from .field import FieldElem, is_prime, make_field
-from .poly import INF, Poly, ProjPoint, RatFunc, evaluate, ord_at, roots
+from .poly import INF, Poly, RatFunc, evaluate, ord_at, roots
 from .ramify import NormalizedCover, RamType, expect_cover
 
 
@@ -73,7 +73,7 @@ class TwistResult:
 def _verify_merged(f: RatFunc, p: int, e, rho: FieldElem) -> RamType:
     e1, e2, e3, e4 = e
     d = (sum(e) - 2) // 2
-    zero, one = ProjPoint(f.ctx.zero), ProjPoint(f.ctx.one)
+    zero, one = f.ctx.zero, f.ctx.one
     return expect_cover(
         f, TypeDegenerates, f"map of merged type ({d}; {e1},{e2},{e3}-{e4})",
         points=((INF, e1), (zero, e2), (one, e3), (rho, e4)),
@@ -108,14 +108,13 @@ def additive_twist(m: MergedCover, c: FieldElem) -> TwistResult:
     if not rho_p.is_zero and c == -(rho_p.inverse()):
         raise ExcludedC("c = -rho^(-p) sends the image of x = rho to 0")
 
-    xp = Poly.from_ints(ctx, [0] * p + [1])
-    f_c = m.f + RatFunc.from_poly(xp) * c
     scale = (ctx.one + c).inverse()
-    g = f_c * scale
+    f_c = _twisted(m.f, c, p)
+    g = RatFunc(f_c.num * scale, f_c.den)
     lam = (ctx.one + c * rho_p) * scale
 
     e1, e2, e3, e4 = m.e
-    zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
+    zero, one = ctx.zero, ctx.one
     ram_type = expect_cover(
         g, TypeDegenerates, f"twist by c = {c}",
         points=((INF, e1), (zero, e2), (one, e3), (m.rho, e4)),
@@ -127,6 +126,13 @@ def additive_twist(m: MergedCover, c: FieldElem) -> TwistResult:
         lam=lam,
         c=c,
     )
+
+
+def _twisted(g: RatFunc, c: FieldElem, p: int) -> RatFunc:
+    """g + c*x^p.  The pair (g.num + c*x^p*g.den, g.den) is already reduced
+    with monic den: gcd(g.num + c*x^p*g.den, g.den) = gcd(g.num, g.den) = 1."""
+    xp = Poly.from_ints(g.ctx, [0] * p + [1])
+    return RatFunc(g.num + xp * g.den * c, g.den)
 
 
 def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, FieldElem]:
@@ -147,19 +153,18 @@ def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, F
         raise FrobeniusCollision(f"{x3}^p = {x4}^p for distinct points")
     v3 = evaluate(g, x3)
     v4 = evaluate(g, x4)
-    if v3.is_infinite or v4.is_infinite:
+    if v3 is INF or v4 is INF:
         raise TypeDegenerates("a ramification point to merge is a pole")
-    c = (v4.value - v3.value) / (x3p - x4p)
+    c = (v4 - v3) / (x3p - x4p)
 
-    xp = Poly.from_ints(ctx, [0] * p + [1])
-    merged = g + RatFunc.from_poly(xp) * c
+    merged = _twisted(g, c, p)
     shared = evaluate(merged, x3)
     if shared != evaluate(merged, x4):
         raise TypeDegenerates(f"the twist by c = {c} does not merge {x3} and {x4}")
-    if shared.is_infinite or shared.value.is_zero:
+    if shared is INF or shared.is_zero:
         raise TypeDegenerates("merged branch point collided with 0 or infinity")
-    normalized = merged / shared.value
-    others = {evaluate(normalized, ctx.zero), INF, ProjPoint(ctx.one)}
+    normalized = RatFunc(merged.num * shared.inverse(), merged.den)
+    others = {evaluate(normalized, ctx.zero), INF, ctx.one}
     if len(others) != 3:
         raise TypeDegenerates("another pair of branch points collided under the twist")
     return normalized, c
@@ -208,7 +213,7 @@ def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
             * Poly.from_elems(actx, [-a, one])
         )
         f = RatFunc.from_poly(Poly.one(actx) + shape * c)
-        zero = ProjPoint(actx.zero)
+        zero = actx.zero
         if evaluate(f, zero) != zero or ord_at(f, zero, zero) != 3:
             raise TypeDegenerates(f"f does not vanish to order 3 at 0 for a = {a}")
         merged = make_merged_cover(f, p, (p + 2, 3, e3, e4), rho)

@@ -127,7 +127,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--cycles", type=_cycles(2), required=True, help="e3,e4")
     sp.add_argument("--c", required=True)
 
-    sp = add("verify", _cmd_verify, "run a verification suite", ext=True)
+    sp = add("verify", _cmd_verify, "run a verification suite")
     sp.add_argument("--suite", required=True, choices=verify.SUITES)
     sp.add_argument("--p", type=int)
     sp.add_argument("--p_max", type=int, default=13)
@@ -210,6 +210,8 @@ def _cmd_contract(args) -> dict:
         raise UsageError(f"cannot read cover file: {exc}")
     f = jsonio.cover_from_json(doc)
     ctx = f.ctx
+    if ctx.characteristic != args.p:
+        raise UsageError(f"--p {args.p} does not match the cover file's char {ctx.characteristic}")
     lam = _parse_in_ctx(ctx, args.p, args.lam)
     mu = _parse_in_ctx(ctx, args.p, args.mu)
     nc = multconst.contract(f, lam, mu)
@@ -294,7 +296,7 @@ def _cmd_additive_twist(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    return verify.run_suite(args.suite, args.p, args.p_max, args.d_max, args.ext)
+    return verify.run_suite(args.suite, args.p, args.p_max, args.d_max)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .poly import (
     DEFAULT_EXT,
     INF,
     Poly,
-    ProjPoint,
     RatFunc,
     count_roots_by_degree,
     evaluate,
@@ -55,6 +54,7 @@ from .poly import (
     lift_ratfunc,
     map_degree,
     ord_at,
+    point_str,
     poly_gcd,
     radical,
     roots,
@@ -190,8 +190,8 @@ def _swap_through(F: RatFunc, mu: FieldElem, c: FieldElem) -> RatFunc:
     # (y - mu)^p = y^p - mu^p in characteristic p
     ypow = Poly.from_elems(ctx, [-(mu ** p)] + [ctx.zero] * (p - 1) + [ctx.one])
     w = RatFunc.make(ypow * F.den, F.fiber_poly(c))
-    w0 = evaluate(w, ctx.zero).value
-    w1 = evaluate(w, ctx.one).value
+    w0 = evaluate(w, ctx.zero)
+    w1 = evaluate(w, ctx.one)
     if w1 == w0:
         raise FormulaMismatch(f"w(0) = w(1) = {w0}: degenerate normalization at mu = {mu}")
     # an affine image of a reduced map with monic denominator stays reduced
@@ -208,10 +208,6 @@ def lift(h: NormalizedCover, mu: FieldElem, verify: bool = True) -> LiftResult:
     e1, e2, e3 = te1, te2, p - te3
     d = h.ram_type.d - 1 + e3
 
-    if isinstance(mu, ProjPoint):
-        if mu.is_infinite:
-            raise InvalidMu("mu = infinity")
-        mu = mu.value
     ctx = mu.ctx
     if ctx.characteristic != p:
         raise MixedContexts(f"mu lives in characteristic {ctx.characteristic}, cover in {p}")
@@ -220,27 +216,27 @@ def lift(h: NormalizedCover, mu: FieldElem, verify: bool = True) -> LiftResult:
 
     hl = lift_ratfunc(h.cover, ctx)
     hv = evaluate(hl, mu)
-    if hv.is_infinite:
+    if hv is INF:
         raise InvalidMu(f"h(mu) is a pole at mu = {mu}")
-    hvv = hv.value
-    if hvv.is_zero:
+    if hv.is_zero:
         raise InvalidMu(f"h(mu) = 0 at mu = {mu}")
-    if hvv == ctx.one:
+    if hv == ctx.one:
         raise InvalidMu(f"h(mu) = 1 at mu = {mu}")
     mup = mu ** p
-    if hvv == mup:
+    if hv == mup:
         raise InvalidMu(f"h(mu) = mu^p at mu = {mu} (fixed point)")
 
-    f = _swap_through(hl, mu, hvv)
-    lam = mup * (ctx.one - hvv) / (mup - hvv)
-    if evaluate(f, mu) != ProjPoint(lam):
-        raise FormulaMismatch(f"closed form lambda = {lam} but f(mu) = {evaluate(f, mu)}")
+    f = _swap_through(hl, mu, hv)
+    lam = mup * (ctx.one - hv) / (mup - hv)
+    f_mu = evaluate(f, mu)
+    if f_mu != lam:
+        raise FormulaMismatch(f"closed form lambda = {lam} but f(mu) = {point_str(f_mu)}")
 
     ram_type = None
     if verify:
         # f(mu) = lambda was checked above, so four branch points with the
         # images 0, 1, inf -> 0, 1, inf also keep lambda off 0 and 1
-        zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
+        zero, one = ctx.zero, ctx.one
         ram_type = expect_cover(
             f, FormulaMismatch, f"lift of {h.ram_type} at mu = {mu}",
             points=((zero, e1), (one, e2), (INF, e3), (mu, p - 1)),
@@ -264,8 +260,8 @@ def contract(f: RatFunc, lam: FieldElem, mu: FieldElem, verify: bool = True) -> 
     if p == 0:
         raise MixedContexts("contract needs positive characteristic")
     lam, mu = ctx.elem(lam), ctx.elem(mu)
-    if evaluate(f, mu) != ProjPoint(lam):
-        raise NotRamifiedHere(f"f({mu}) = {evaluate(f, mu)} is not {lam}")
+    if evaluate(f, mu) != lam:
+        raise NotRamifiedHere(f"f({mu}) = {point_str(evaluate(f, mu))} is not {lam}")
     e = ord_at(f, mu, lam)
     if e == 1:
         raise NotRamifiedHere(f"mu = {mu} is unramified in its fiber")
@@ -276,7 +272,7 @@ def contract(f: RatFunc, lam: FieldElem, mu: FieldElem, verify: bool = True) -> 
 
     ram_type = None
     if verify:
-        zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
+        zero, one = ctx.zero, ctx.one
         ram_type = expect_cover(
             h, FormulaMismatch, f"contract at mu = {mu}",
             points=((zero, None), (one, None), (INF, None)),
@@ -307,11 +303,6 @@ def _exclusion_poly(h: RatFunc) -> Poly:
     return out
 
 
-def _finite(lam0) -> FieldElem | None:
-    """A lambda value as a field element; None for the point at infinity."""
-    return lam0.value if isinstance(lam0, ProjPoint) else lam0
-
-
 def _fiber_poly(L: LambdaMap, lam0: FieldElem) -> Poly:
     """The mu-polynomial over lam0, in the field of lam0."""
     return lift_ratfunc(L.map, lam0.ctx).fiber_poly(lam0)
@@ -323,8 +314,7 @@ def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = DEFAULT_EXT) -> in
     Counts the distinct roots of the fiber polynomial whose degree over F_p
     is within the bound, leaving out the roots excluded by the construction.
     """
-    lam0 = _finite(lam0)
-    if lam0 is None:
+    if lam0 is INF:
         raise BranchValueExcluded("lambda = infinity is a branch value")
     ctx0 = lam0.ctx
     if ctx0.characteristic != L.p:
@@ -339,8 +329,7 @@ def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = DEFAULT_EXT) -> in
 
 def is_critical_value(L: LambdaMap, lam0) -> bool:
     """Whether the fiber polynomial over lam0 has a repeated root."""
-    lam0 = _finite(lam0)
-    if lam0 is None:
+    if lam0 is INF:
         return True
     P = _fiber_poly(L, lam0)
     return poly_gcd(P, P.derivative()).degree > 0
@@ -349,8 +338,7 @@ def is_critical_value(L: LambdaMap, lam0) -> bool:
 def is_supersingular_value(L: LambdaMap, lam0) -> bool:
     """Whether lam0 lies in the supersingular locus: h.den, lifted into the
     field of lam0, vanishes there.  No search bound is involved."""
-    lam0 = _finite(lam0)
-    if lam0 is None:
+    if lam0 is INF:
         return False
     return lift_poly(L.base.cover.den, lam0.ctx)(lam0).is_zero
 

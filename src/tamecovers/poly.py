@@ -3,11 +3,13 @@
 A Poly stores the ascending tuple of its coefficients' raw values (last
 entry nonzero, empty for the zero polynomial) and runs its arithmetic --
 add, mul, divmod, monic, gcd, pow-mod -- on the polynomial kernel of
-``field``; ``Poly.coeffs`` gives the coefficients as FieldElem values.  A
-RatFunc is always reduced (coprime numerator/denominator) with monic
-denominator, so equality of values is equality of representations.  Points
-of the projective line are a ProjPoint: a field element or the point at
-infinity.
+``field``; ``Poly.coeffs`` gives the coefficients as FieldElem values.
+A point of P^1 is a FieldElem or ``INF`` (``None``), which ``point_str``
+prints as "inf".  A map of P^1 is a RatFunc: the pair (num, den), coprime
+with monic den, so equal maps are equal pairs.  It has no arithmetic: a
+construction computes its pair from num and den, then reduces it with
+``RatFunc.make`` or, when it is reduced by construction, uses the trusted
+constructor.
 
 Root finding in characteristic p rests on one distinct-degree split: the
 roots of minimal degree k over F_p are those of gcd(y^(p^k) - y, .) once
@@ -322,50 +324,15 @@ def lift_poly(f: Poly, ext: FieldCtx) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Projective line
+# Projective line and rational maps
 
-class ProjPoint:
-    """A point of P^1: a field element or infinity."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: FieldElem | None):
-        self.value = value
-
-    @classmethod
-    def of(cls, x) -> "ProjPoint":
-        if isinstance(x, ProjPoint):
-            return x
-        if isinstance(x, FieldElem):
-            return cls(x)
-        raise TypeError(f"cannot interpret {x!r} as a point of P^1")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            if isinstance(other, FieldElem):
-                other = ProjPoint(other)
-            else:
-                return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            return self.is_infinite and other.is_infinite
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(None) if self.is_infinite else hash(self.value)
-
-    def __repr__(self):
-        return "inf" if self.is_infinite else repr(self.value)
+INF = None  # the point at infinity of P^1; every other point is a FieldElem
 
 
-INF = ProjPoint(None)
+def point_str(x) -> str:
+    """Text form of a point of P^1: "inf" for INF, else the element's."""
+    return "inf" if x is INF else repr(x)
 
-
-# ---------------------------------------------------------------------------
-# Rational functions
 
 class RatFunc:
     """Reduced rational function with monic denominator."""
@@ -405,69 +372,9 @@ class RatFunc:
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, Poly):
-            return RatFunc.from_poly(other)
-        if isinstance(other, (FieldElem, int)):
-            return RatFunc.from_poly(Poly.from_elems(self.den.ctx, [self.den.ctx.elem(other)]))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc.make(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc.make(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero:
-            raise DivisionByZero("division of rational functions by zero")
-        return RatFunc.make(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def fiber_poly(self, c: FieldElem) -> Poly:
         """num - c*den, whose roots are the finite points over c."""
         return self.num - self.den * c
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc.make(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     def __eq__(self, other):
         return (
@@ -491,23 +398,20 @@ def lift_ratfunc(f: RatFunc, ext: FieldCtx) -> RatFunc:
     return RatFunc(lift_poly(f.num, ext), lift_poly(f.den, ext))
 
 
-def evaluate(f: RatFunc, x) -> ProjPoint:
-    """Value of f at a point of P^1, infinity included on both sides."""
-    x = ProjPoint.of(x)
-    if x.is_infinite:
+def evaluate(f: RatFunc, x):
+    """Value of f at a point x of P^1 (a FieldElem or INF), as a point of P^1."""
+    if x is INF:
         dn, dd = f.num.degree, f.den.degree
         if dn > dd:
             return INF
-        ctx = f.ctx
         if dn < dd:
-            return ProjPoint(ctx.zero)
-        return ProjPoint(f.num.lc / f.den.lc)
-    nv = f.num(x.value)
-    dv = f.den(x.value)
+            return f.ctx.zero
+        return f.num.lc / f.den.lc
+    dv = f.den(x)
     if dv.is_zero:
         # reduced form: num and den cannot vanish together
         return INF
-    return ProjPoint(nv / dv)
+    return f.num(x) / dv
 
 
 def map_degree(f: RatFunc) -> int:
@@ -518,26 +422,24 @@ def map_degree(f: RatFunc) -> int:
 
 
 def ord_at(f: RatFunc, x, target) -> int:
-    """Multiplicity of x as a solution of f = target.
+    """Multiplicity of x as a solution of f = target (points of P^1).
 
     This is the local ramification-index datum: the valuation of
-    f - target at x (of the denominator when target is infinite), with the
+    f - target at x (of the denominator when target is INF), with the
     point at infinity read off the degrees: f - t = fiber_poly(t) / den
     vanishes there to order deg den - deg fiber_poly(t), and f has a pole
     there of order deg num - deg den.
     """
-    x = ProjPoint.of(x)
-    target = ProjPoint.of(target)
     if evaluate(f, x) != target:
-        raise ValueMismatch(f"f({x}) is not {target}")
-    if x.is_infinite:
-        if target.is_infinite:
+        raise ValueMismatch(f"f({point_str(x)}) is not {point_str(target)}")
+    if x is INF:
+        if target is INF:
             return f.num.degree - f.den.degree
-        P = f.fiber_poly(target.value)
+        P = f.fiber_poly(target)
         return 0 if P.is_zero else f.den.degree - P.degree  # 0 for a constant f
-    if target.is_infinite:
-        return linear_multiplicity(f.den, x.value)
-    return linear_multiplicity(f.fiber_poly(target.value), x.value)
+    if target is INF:
+        return linear_multiplicity(f.den, x)
+    return linear_multiplicity(f.fiber_poly(target), x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Ramification analysis of rational self-maps of the projective line.
 
-Every construction here knows its ramification points in advance, so
-``analyze_cover`` never searches for roots: it does the bookkeeping at the
-named points ``candidates`` (elements of the map's own field) and at
-infinity.  It computes the ramification index of each named point, the
-branch points and, when complete, the ramification type, whose
+A map is a reduced RatFunc and a point of P^1 a field element or ``INF``,
+as in ``poly``.  Every construction here knows its ramification points in
+advance, so ``analyze_cover`` never searches for roots: it does the
+bookkeeping at the named points ``candidates`` (elements of the map's own
+field) and at ``INF``.  It computes the ramification index of each named
+point, the branch points and, when complete, the ramification type, whose
 Riemann-Hurwitz genus ``genus_from_type`` gives.  The analysis is complete
 exactly when dividing the derivative numerator W by each named point's
 multiplicity in it leaves a constant.  To analyse a map over a small finite
@@ -22,13 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Inseparable, InvalidType, InvariantViolated
+from .field import FieldElem
 from .poly import (
     INF,
-    ProjPoint,
     RatFunc,
     evaluate,
     map_degree,
     ord_at,
+    point_str,
     synthetic_div,
 )
 
@@ -91,12 +93,11 @@ class CoverAnalysis:
     degree: int
     tame: bool
     complete: bool  # the named points account for every critical point
-    ram_points: tuple[tuple[ProjPoint, int], ...]
-    branch_points: tuple[ProjPoint, ...]
+    ram_points: tuple[tuple[FieldElem | None, int], ...]  # (point, index)
+    branch_points: tuple[FieldElem | None, ...]
     ram_type: RamType | None
 
     def index_at(self, pt) -> int:
-        pt = ProjPoint.of(pt)
         for q, e in self.ram_points:
             if q == pt:
                 return e
@@ -111,10 +112,10 @@ class NormalizedCover:
     ram_type: RamType | None = None
 
 
-def _pt_sort_key(pt: ProjPoint):
-    if pt.is_infinite:
+def _pt_sort_key(pt):
+    if pt is INF:
         return (1, ())
-    key = pt.value.sort_key()
+    key = pt.sort_key()
     if not isinstance(key, tuple):
         key = (key,)
     return (0, key)
@@ -129,15 +130,14 @@ def analyze_cover(f: RatFunc, candidates) -> CoverAnalysis:
     if W.is_zero:
         raise Inseparable("derivative data vanishes identically")
 
-    ram_points: list[tuple[ProjPoint, int]] = []
+    ram_points = []
     residual = W
     seen = set()
     for cand in candidates:
-        cand = ProjPoint.of(cand)
-        if cand.is_infinite or cand in seen:
+        if cand is INF or cand in seen:
             continue
         seen.add(cand)
-        x = ctx.elem(cand.value)
+        x = ctx.elem(cand)
         m = 0
         while not residual.is_zero:
             q, rem = synthetic_div(residual, x)
@@ -146,8 +146,7 @@ def analyze_cover(f: RatFunc, candidates) -> CoverAnalysis:
             residual = q
             m += 1
         if m:
-            pt = ProjPoint(x)
-            ram_points.append((pt, ord_at(f, pt, evaluate(f, pt))))
+            ram_points.append((x, ord_at(f, x, evaluate(f, x))))
     complete = residual.degree <= 0
 
     e_inf = ord_at(f, INF, evaluate(f, INF))
@@ -195,11 +194,13 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
     for every critical point), ramification-point count, branch points.
     The detail of exc names the first failing clause.
     """
-    points = [(ProjPoint.of(x), e) for x, e in points]
     a = analyze_cover(f, candidates=[x for x, _e in points])
 
     def fail(clause: str):
         raise exc(f"{what} failed type verification: {clause}")
+
+    def pts_str(pts) -> str:
+        return "(" + ", ".join(map(point_str, pts)) + ")"
 
     if not a.tame:
         fail(f"tame: an index is divisible by p = {f.ctx.characteristic}")
@@ -207,11 +208,11 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
         fail(f"degree is {a.degree}, expected {degree}")
     for x, e in points:
         if e is not None and a.index_at(x) != e:
-            fail(f"index at {x} is {a.index_at(x)}, expected {e}")
+            fail(f"index at {point_str(x)} is {a.index_at(x)}, expected {e}")
     for x, y in images:
         value = evaluate(f, x)
         if value != y:
-            fail(f"image of {x} is {value}, expected {y}")
+            fail(f"image of {point_str(x)} is {point_str(value)}, expected {point_str(y)}")
     if not a.complete:
         fail("complete: the named points do not account for every critical point")
     if len(a.ram_points) != len(points):
@@ -220,5 +221,5 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
         if len(a.branch_points) != branch:
             fail(f"{len(a.branch_points)} branch points, expected {branch}")
     elif branch is not None and a.branch_points != tuple(branch):
-        fail(f"branch points are {a.branch_points}, expected {tuple(branch)}")
+        fail(f"branch points are {pts_str(a.branch_points)}, expected {pts_str(branch)}")
     return a.ram_type

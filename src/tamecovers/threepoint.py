@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
 from .field import FieldCtx, _pmul, _psub, _trim
-from .poly import INF, Poly, ProjPoint, RatFunc, poly_gcd
+from .poly import INF, Poly, RatFunc, poly_gcd
 from .ramify import NormalizedCover, expect_cover
 
 
@@ -153,7 +153,7 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
     # The indices e1 + e2 + e3 = 2d + 1 use up the Riemann-Hurwitz mass
     # 2d - 2, so with the images 0, 1, inf -> 0, 1, inf they leave no other
     # ramification: these clauses already give the type (d; e1, e2, e3).
-    zero, one = ProjPoint(ctx.zero), ProjPoint(ctx.one)
+    zero, one = ctx.zero, ctx.one
     ram_type = expect_cover(
         f, NoSuchCover, f"solved map for type ({d}; {e1},{e2},{e3}) over {ctx}",
         points=((zero, e1), (one, e2), (INF, e3)),

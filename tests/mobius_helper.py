@@ -5,16 +5,16 @@ A Moebius map is a tuple (a, b, c, d) of field elements, y -> (a*y + b) /
 (c*y + d); the callers pass invertible ones only.
 """
 
-from tamecovers.poly import INF, Poly, ProjPoint, RatFunc
+from tamecovers.poly import INF, Poly, RatFunc
 
 
-def apply_mobius(m, pt: ProjPoint) -> ProjPoint:
+def apply_mobius(m, pt):
     a, b, c, d = m
-    u, v = (a.ctx.one, a.ctx.zero) if pt.is_infinite else (pt.value, a.ctx.one)
+    u, v = (a.ctx.one, a.ctx.zero) if pt is INF else (pt, a.ctx.one)
     nu, nv = a * u + b * v, c * u + d * v
     if nv.is_zero:
         return INF
-    return ProjPoint(nu / nv)
+    return nu / nv
 
 
 def mobius(f: RatFunc, pre=None, post=None) -> RatFunc:

@@ -85,6 +85,18 @@ def test_lift_and_contract_round_trip(tmp_path):
     assert back["type"] == [3, 3, 2, 2]
 
 
+@pytest.mark.parametrize("p", ["5", "11"])
+def test_contract_rejects_a_p_other_than_the_cover_files_char(tmp_path, p):
+    doc = invoke_json(["lift", "--p", "7", "--cycles", "3,2,5", "--mu", "4"])
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(doc["cover"]), encoding="utf-8")
+    code, out, err = invoke(
+        ["contract", "--p", p, "--cover", str(cover_path), "--lambda", "2", "--mu", "4"]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --p {p} does not match the cover file's char 7\n"
+
+
 def test_fiber_count_supersingular():
     doc = invoke_json(["fiber-count", "--p", "5", "--cycles", "3,2,3", "--lambda", "4"])
     assert doc == {
@@ -115,7 +127,7 @@ def test_fiber_count_supersingular_flag_ignores_ext():
 def test_ext_only_on_commands_that_read_it():
     sub = build_parser()._subparsers._group_actions[0]
     with_ext = {name for name, sp in sub.choices.items() if "--ext" in sp._option_string_actions}
-    assert with_ext == {"hurwitz-p", "lambda-map", "fiber-count", "verify"}
+    assert with_ext == {"hurwitz-p", "lambda-map", "fiber-count"}
     code, _out, err = invoke(["three-point", "--p", "7", "--cycles", "3,2,2", "--ext", "2"])
     assert code == 1 and "--ext" in err
 
@@ -299,6 +311,27 @@ def test_verify_oracle_above_the_degree_cap_fails_before_enumerating(monkeypatch
     code, out, _err = invoke(["verify", "--suite", "oracle", "--d_max", str(cap + 1)])
     assert (code, calls) == (2, 0)
     assert json.loads(out) == {"error": "DegreeTooLarge", "detail": info.value.detail}
+
+
+@pytest.mark.parametrize("d_max", ["3", "6"])
+def test_verify_oracle_passes_below_the_default_degree(d_max):
+    # the type count is compared with an independent partition count, not
+    # with a fixed floor that small degrees cannot reach
+    doc = invoke_json(["verify", "--suite", "oracle", "--d_max", d_max])
+    assert doc["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--suite", "oracle", "--d_max", "2"], "--d_max"),
+        (["verify", "--suite", "roundtrip", "--p", "3"], "--p"),
+    ],
+    ids=["oracle-d_max-2", "roundtrip-p3"],
+)
+def test_verify_bounds_that_check_nothing_are_usage_errors(argv, flag):
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "") and err.startswith(f"usage error: {flag} must be at least")
 
 
 def test_verify_roundtrip_suite_small():

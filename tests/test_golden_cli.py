@@ -101,7 +101,7 @@ def test_every_case_is_recorded():
 def test_verify_library_matches_cli_golden():
     # the library entry point prints nothing itself; the CLI adds the newline
     want = _golden()["verify-paper-examples"][0]["stdout"]
-    assert json.dumps(verify.run_suite("paper-examples", p=7, ext=6)) == want[:-1]
+    assert json.dumps(verify.run_suite("paper-examples", p=7)) == want[:-1]
 
 
 def record() -> None:

@@ -107,14 +107,21 @@ def test_supersingular_set_is_frobenius_stable():
 
 
 def test_lambda_is_separable_and_matches_symbolic_derivative():
+    # lambda = y^p (1 - h) / (y^p - h) has derivative
+    # -y^p h' (y^p - 1) / (y^p - h)^2, since (y^p)' = 0; cross-multiplied
+    # over the reduced num/den of lambda and hn/hd of h:
+    # (num' den - num den') (y^p hd - hn)^2 = -y^p (hn' hd - hn hd') (y^p - 1) den^2
     for p, ctx in [(5, F5), (7, F7)]:
-        ypow = RatFunc.from_poly(P(ctx, *([0] * p + [1])))
+        ypow = P(ctx, *([0] * p + [1]))
         for t in admissible_types(p):
             L = lambda_map(ctx, t)
-            h = L.base.cover
-            lhs = L.map.derivative()
-            assert not lhs.num.is_zero
-            rhs = -(ypow * h.derivative() * (ypow - 1)) / ((ypow - h) * (ypow - h))
+            num, den = L.map.num, L.map.den
+            hn, hd = L.base.cover.num, L.base.cover.den
+            w = num.derivative() * den - num * den.derivative()
+            assert not w.is_zero
+            wh = hn.derivative() * hd - hn * hd.derivative()
+            lhs = w * (ypow * hd - hn) ** 2
+            rhs = -(ypow * wh * (ypow - 1) * den ** 2)
             assert lhs == rhs
 
 

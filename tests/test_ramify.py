@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from tamecovers.errors import Inseparable, InvalidType, NoSuchCover
+from tamecovers.errors import Inseparable, InvalidType, NoSuchCover, NotRamifiedHere, ValueMismatch
 from tamecovers.field import make_field
+from tamecovers.multconst import contract
 from tamecovers.poly import (
     INF,
     Poly,
-    ProjPoint,
     RatFunc,
     lift_ratfunc,
+    ord_at,
     roots,
 )
 from tamecovers.ramify import (
@@ -35,12 +36,12 @@ def P(ctx, *ints):
 def test_analyze_squaring_map():
     a = analyze_cover(RatFunc.from_poly(P(F5, 0, 0, 1)), candidates=F5.elements())
     assert a.complete and a.tame
-    assert a.branch_points == (ProjPoint(F5.zero), INF)
+    assert a.branch_points == (F5.zero, INF)
     assert a.ram_type == RamType(2, ((2,), (2,)))
     assert genus_from_type(a.ram_type) == 0
 
 
-ZERO5, ONE5 = ProjPoint(F5.zero), ProjPoint(F5.one)
+ZERO5, ONE5 = F5.zero, F5.one
 SQUARE_POINTS = ((ZERO5, 2), (INF, 2))
 
 
@@ -51,6 +52,8 @@ SQUARE_POINTS = ((ZERO5, 2), (INF, 2))
     ({"images": ((ZERO5, ONE5),)}, "image of 0 is 0, expected 1"),
     ({"branch": 3}, "2 branch points, expected 3"),
     ({"branch": (ZERO5, ONE5)}, "branch points are (0, inf), expected (0, 1)"),
+    ({"points": ((ZERO5, 2), (INF, 3))}, "index at inf is 2, expected 3"),
+    ({"images": ((INF, ZERO5),)}, "image of inf is inf, expected 0"),
 ])
 def test_expect_cover_names_the_first_failed_clause(claims, clause):
     y2 = RatFunc.from_poly(P(F5, 0, 0, 1))
@@ -78,10 +81,24 @@ def test_expect_cover_names_unnamed_critical_points():
                                  "the named points do not account for every critical point")
 
 
+def test_error_details_print_infinity_as_inf():
+    # expect_cover's clauses print it the same way (the cases above)
+    h = RatFunc.make(P(F7, 0, 0, 0, 1), P(F7, -2, 3))  # y^3/(3y-2): a pole at 3
+    with pytest.raises(NotRamifiedHere) as info:
+        contract(h, F7.from_int(2), F7.from_int(3))
+    assert info.value.detail == "f(3) = inf is not 2"
+    with pytest.raises(ValueMismatch) as info:
+        ord_at(h, INF, F7.zero)
+    assert info.value.detail == "f(inf) is not 0"
+    with pytest.raises(ValueMismatch) as info:
+        ord_at(h, F7.one, INF)
+    assert info.value.detail == "f(1) is not inf"
+
+
 def test_analyze_three_point_cover_over_F7():
     a = analyze_cover(RatFunc.from_poly(P(F7, 0, 0, 3, -2)), candidates=F7.elements())
     assert a.complete and a.tame
-    assert a.branch_points == (ProjPoint(F7.zero), ProjPoint(F7.one), INF)
+    assert a.branch_points == (F7.zero, F7.one, INF)
     assert a.ram_type == single_cycle_type(3, (2, 2, 3))
     assert a.index_at(F7.zero) == 2
     assert a.index_at(F7.one) == 2
@@ -100,7 +117,7 @@ def test_branch_value_reached_from_two_field_degrees_is_one_branch_point():
     a = analyze_cover(f, candidates=[r for r, _m, _k in roots(f.num.derivative())])
     assert a.complete
     assert len(a.branch_points) == 6
-    assert a.branch_points[0] == ProjPoint(F.zero)
+    assert a.branch_points[0] == F.zero
     simple = (2,) + (1,) * 8
     assert a.ram_type == RamType(10, ((2, 2, 2, 2, 2),) + (simple,) * 4 + ((10,),))
 
@@ -163,8 +180,8 @@ def test_partial_analysis_is_flagged_not_fatal():
     F25 = make_field(5, 2)
     full = analyze_cover(lift_ratfunc(f, F25), candidates=F25.elements())
     assert full.complete
-    assert all(k == 2 for pt, _e in full.ram_points if not pt.is_infinite
-               for k in [pt.value.min_degree()])
+    assert all(k == 2 for pt, _e in full.ram_points if pt is not INF
+               for k in [pt.min_degree()])
 
 
 def test_three_point_cover_is_single_cycle():
