@@ -1,12 +1,45 @@
-"""Characteristic-zero Hurwitz numbers by permutation-tuple enumeration.
+"""Characteristic-zero single-cycle Hurwitz numbers.
 
 A single-cycle Hurwitz number counts tuples (g_1, ..., g_r) of e_i-cycles
 in S_d with product the identity and transitive joint action, taken up to
-simultaneous conjugation.  The enumeration fixes the last cycle to a
-canonical one (killing a factor of its class size), solves the next-to-last
-cycle from the product condition, and enumerates the remaining r-2 classes
-directly; orbits of the residual symmetry -- the centralizer of the fixed
-cycle -- are collapsed through canonical forms.
+simultaneous conjugation.  ``hurwitz_char0`` counts a genus-0 type by the
+Frobenius character formula and every other type by enumeration.
+
+Character formula.  Drop the entries e_i = 1 (they are the identity).  For
+a multiset A of cycle lengths, the number of tuples in S_n with g_i an
+e_i-cycle for i in A and product 1 is
+
+    N(n, A) = (1/n!) sum_lambda (dim lambda)^2 prod_{i in A} f_lambda(e_i),
+
+summed over the partitions lambda of n, where f_lambda(e) =
+|C_e| chi^lambda(C_e) / dim lambda is the (integer) central character of
+the class C_e of e-cycles.  chi^lambda at an e-cycle is one Murnaghan-
+Nakayama step: the signed sum, over the rim hooks of length e, of the
+dimension of what is left; both read off the beta-set of lambda, and
+dim lambda comes from the hook-length formula in its beta-set form.
+
+Transitivity.  Sorting the tuples counted by N(n, A) by the orbit of
+point 1 -- its size j and the sub-multiset B of cycles that move it --
+gives the transitive count
+
+    T(n, A) = N(n, A) - sum_{j<n} sum_{B <= A} C(n-1, j-1) T(j, B) N(n-j, A - B),
+
+where a sub-multiset B is counted once for each set of positions it takes.
+
+Orbits.  S_d acts on the T(d, A) transitive tuples by conjugation with
+stabilizers the automorphism groups of the covers, so T/d! is the number
+of orbits weighted by 1/|Aut|.  In genus 0 (sum(e_i - 1) = 2d - 2) with at
+least three e_i >= 2, an automorphism fixes the one ramified point over
+each of three branch points, and a Moebius map with three fixed points is
+the identity; so the count is T/d! exactly.  In positive genus this fails
+even when d! divides T: for (3; 3,3,3,3), T/d! = 1 but there are 3 orbits.
+Every other type therefore goes to ``enumerate_char0``.
+
+Enumeration.  ``enumerate_char0`` fixes the last cycle to a canonical one
+(killing a factor of its class size), solves the next-to-last cycle from
+the product condition, and enumerates the remaining r-2 classes directly;
+orbits of the residual symmetry -- the centralizer of the fixed cycle --
+are collapsed through canonical forms.  It is the oracle for the formula.
 
 ``naive_orbit_count`` is an intentionally separate implementation (no fixed
 cycle, canonical forms over all of S_d) kept as an oracle for the orbit
@@ -17,8 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
-from .errors import DegreeTooLarge, InvalidCycleLength, NotGenusZero
+from .errors import DegreeTooLarge, InvalidCycleLength, InvariantViolated, NotGenusZero
 
 DEGREE_CAP = 9
 
@@ -139,7 +173,83 @@ def _validate(d: int, cycles) -> tuple[int, ...]:
 
 def hurwitz_char0(d: int, cycles) -> TupleClassCount:
     """Count single-cycle tuples with identity product and transitive span,
-    up to simultaneous conjugation."""
+    up to simultaneous conjugation: by characters in genus 0 with at least
+    three e_i >= 2, by ``enumerate_char0`` otherwise."""
+    cycles = _validate(d, cycles)
+    if sum(e - 1 for e in cycles) == 2 * d - 2 and sum(e >= 2 for e in cycles) >= 3:
+        return TupleClassCount(d=d, cycle_lengths=cycles, count=_count_by_characters(d, cycles))
+    return enumerate_char0(d, cycles)
+
+
+def _partitions_of(n: int, largest: int | None = None):
+    """The partitions of n, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions_of(n - first, first):
+            yield (first,) + rest
+
+
+def _dim(beta: list[int], n: int) -> int:
+    """dim of the irreducible of S_n with beta-set beta (hook-length formula)."""
+    num = factorial(n)
+    for i, b in enumerate(beta):
+        for c in beta[i + 1:]:
+            num *= abs(b - c)
+    return num // prod(factorial(b) for b in beta)
+
+
+def _central_characters(lam: tuple[int, ...], lengths: list[int]) -> tuple[int, list[int]]:
+    """(dim lambda, [f_lambda(e) for e in lengths]) for a partition lambda."""
+    n = sum(lam)
+    beta = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    dim = _dim(beta, n)
+    fs = []
+    for e in lengths:
+        chi = 0
+        for b in beta:
+            # moving bead b down to the free position b - e removes a rim
+            # hook of length e, of height the beads it passes
+            if b >= e and b - e not in beta:
+                sign = (-1) ** sum(b - e < c < b for c in beta)
+                chi += sign * _dim([b - e if c == b else c for c in beta], n - e)
+        fs.append(factorial(n) // (e * factorial(n - e)) * chi // dim if e <= n else 0)
+    return dim, fs
+
+
+def _count_by_characters(d: int, cycles: tuple[int, ...]) -> int:
+    """T(d, A) / d! for the cycles' multiset A; see the module docstring."""
+    lengths = sorted({e for e in cycles if e >= 2})
+    full = tuple(cycles.count(e) for e in lengths)
+    # a sub-multiset is its vector of multiplicities, one per length
+    subs = list(product(*(range(m + 1) for m in full)))
+    N = {}
+    for n in range(d + 1):
+        chars = [_central_characters(lam, lengths) for lam in _partitions_of(n)]
+        for a in subs:
+            total = sum(dim * dim * prod(f ** k for f, k in zip(fs, a)) for dim, fs in chars)
+            N[n, a] = total // factorial(n)
+    T = {}
+    for n in range(1, d + 1):
+        for a in subs:
+            t = N[n, a]
+            for b in subs:
+                if any(x > y for x, y in zip(b, a)):
+                    continue
+                rest = tuple(y - x for x, y in zip(b, a))
+                ways = prod(comb(y, x) for x, y in zip(b, a))
+                t -= ways * sum(comb(n - 1, j - 1) * T[j, b] * N[n - j, rest] for j in range(1, n))
+            T[n, a] = t
+    count, left = divmod(T[d, full], factorial(d))
+    if left:
+        raise InvariantViolated(f"{factorial(d)} does not divide the {T[d, full]} transitive tuples")
+    return count
+
+
+def enumerate_char0(d: int, cycles) -> TupleClassCount:
+    """The count ``hurwitz_char0`` returns, by enumerating tuples: fix one
+    cycle, solve one from the product, canonicalize under the centralizer."""
     cycles = _validate(d, cycles)
     # Riemann-Hurwitz: the product is even only for an even sum, and a
     # transitive tuple needs sum(e_i - 1) >= 2d - 2 (genus >= 0)
@@ -207,6 +317,6 @@ def verify_min_formula(d: int, es) -> dict:
         raise NotGenusZero(f"{es} is not a 4-point type with 2 <= e_i <= {d}")
     if sum(e - 1 for e in es) != 2 * d - 2:
         raise NotGenusZero(f"{es} fails sum(e_i - 1) = 2d - 2 for d = {d}")
-    enumerated = hurwitz_char0(d, es).count
+    enumerated = enumerate_char0(d, es).count
     formula = min_formula(d, es)
     return {"enumerated": enumerated, "formula": formula, "agree": enumerated == formula}

@@ -30,8 +30,14 @@ def run_suite(suite: str, p: int | None = None, p_max: int = 13, d_max: int = 8)
     """Run one named suite; ``all_pass`` in the result is True exactly when
     every check passed."""
     if suite == "paper-examples":
-        checks = _paper_examples(p or 5)
+        if p is not None and (p < 5 or not is_prime(p)):
+            # the examples need the types (p; 2, 2, p-3) and (p; 3, 2, p-2)
+            raise UsageError(f"--p must be a prime at least 5 for the paper-examples suite, got {p}")
+        checks = _paper_examples(5 if p is None else p)
     elif suite == "formulas":
+        if p_max < 5:
+            # the suite checks the primes from 5 to --p_max
+            raise UsageError(f"--p_max must be at least 5, got {p_max}")
         checks = _formulas(p_max)
     elif suite == "roundtrip":
         if p is not None and p < 5:
@@ -235,7 +241,7 @@ def _oracle(d_max: int) -> list[dict]:
         for es in itertools.combinations_with_replacement(range(2, d + 1), 4):
             if sum(es) != 2 * d + 2:
                 continue
-            if symhurwitz.hurwitz_char0(d, es).count != symhurwitz.naive_orbit_count(d, es):
+            if symhurwitz.enumerate_char0(d, es).count != symhurwitz.naive_orbit_count(d, es):
                 naive_failures.append([d, *es])
     checks.append(_check("dedup-vs-naive-d<=5", naive_failures, []))
 

@@ -298,7 +298,7 @@ def test_verify_oracle_above_the_degree_cap_fails_before_enumerating(monkeypatch
     # the document is the one the enumeration raises at degree cap + 1
     cap = symhurwitz.DEGREE_CAP
     calls = 0
-    real = symhurwitz.hurwitz_char0
+    real = symhurwitz.enumerate_char0
 
     def counting(d, cycles):
         nonlocal calls
@@ -307,7 +307,7 @@ def test_verify_oracle_above_the_degree_cap_fails_before_enumerating(monkeypatch
 
     with pytest.raises(DegreeTooLarge) as info:
         real(cap + 1, (2, 2, cap + 1, cap + 1))
-    monkeypatch.setattr(symhurwitz, "hurwitz_char0", counting)
+    monkeypatch.setattr(symhurwitz, "enumerate_char0", counting)
     code, out, _err = invoke(["verify", "--suite", "oracle", "--d_max", str(cap + 1)])
     assert (code, calls) == (2, 0)
     assert json.loads(out) == {"error": "DegreeTooLarge", "detail": info.value.detail}
@@ -326,17 +326,30 @@ def test_verify_oracle_passes_below_the_default_degree(d_max):
     [
         (["verify", "--suite", "oracle", "--d_max", "2"], "--d_max"),
         (["verify", "--suite", "roundtrip", "--p", "3"], "--p"),
+        (["verify", "--suite", "formulas", "--p_max", "3"], "--p_max"),
     ],
-    ids=["oracle-d_max-2", "roundtrip-p3"],
+    ids=["oracle-d_max-2", "roundtrip-p3", "formulas-p_max-3"],
 )
 def test_verify_bounds_that_check_nothing_are_usage_errors(argv, flag):
     code, out, err = invoke(argv)
     assert (code, out) == (1, "") and err.startswith(f"usage error: {flag} must be at least")
 
 
-def test_verify_roundtrip_suite_small():
-    doc = invoke_json(["verify", "--suite", "roundtrip", "--p", "5"])
-    assert doc["all_pass"] is True
+@pytest.mark.parametrize("p", ["0", "3", "4", "6"])
+def test_verify_paper_examples_at_a_p_that_is_not_a_prime_from_5_is_a_usage_error(p):
+    # only an omitted --p defaults to 5
+    code, out, err = invoke(["verify", "--suite", "paper-examples", "--p", p])
+    assert (code, out) == (1, "") and err.startswith("usage error: --p must be a prime at least 5")
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [("paper-examples", "--p"), ("roundtrip", "--p"), ("formulas", "--p_max")],
+    ids=["paper-examples", "roundtrip", "formulas"],
+)
+@pytest.mark.parametrize("bound", ["5", "7"])
+def test_verify_suites_pass_at_small_legal_bounds(suite, flag, bound):
+    assert invoke_json(["verify", "--suite", suite, flag, bound])["all_pass"] is True
 
 
 def test_pretty_flag():

@@ -1,0 +1,122 @@
+"""Source rules for the package that no test of behaviour would catch.
+
+- No ``assert`` statement: invariant checks raise a DomainError so that
+  they still run under ``python -O``.
+- No unused import in a module: a deletion leaves the imports of what it
+  deleted behind.  ``__init__.py`` imports to re-export, so it is exempt.
+- No orphaned private function or method: a module-level ``_function``, or
+  a ``_method`` of a module-level class, must be named somewhere in the
+  package outside its own body (methods are matched by name, whatever the
+  class).
+
+Each check returns one line per violation, naming file, line and name;
+each has a test that plants a violation in a copy of the package.
+"""
+
+import ast
+import collections
+import re
+import shutil
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tamecovers"
+
+
+def _modules(pkg: Path) -> list[Path]:
+    return sorted(pkg.rglob("*.py"))
+
+
+def assert_statements(pkg: Path) -> list[str]:
+    pattern = re.compile(r"^\s*assert\b")
+    return [f"{path.relative_to(pkg)}:{n}: {line.strip()}"
+            for path in _modules(pkg)
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.match(line)]
+
+
+def unused_imports(pkg: Path) -> list[str]:
+    bad = []
+    for path in _modules(pkg):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            # a quoted annotation such as -> "Poly" uses the names in it
+            for note in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+                if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+        bad += [f"{path.relative_to(pkg)}:{line}: {name} imported but never used"
+                for name, line in imported.items() if name not in used]
+    return bad
+
+
+def _refs(node) -> collections.Counter:
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def orphaned_privates(pkg: Path) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _modules(pkg)}
+    total = sum((_refs(tree) for tree in trees.values()), collections.Counter())
+    defs = [(path, fn) for path, tree in trees.items() for node in tree.body
+            for fn in (node.body if isinstance(node, ast.ClassDef) else [node])]
+    return [f"{path.relative_to(pkg)}:{fn.lineno}: {fn.name} is never used outside its own body"
+            for path, fn in defs
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and not fn.name.startswith("__") and total[fn.name] == _refs(fn)[fn.name]]
+
+
+def _planted(tmp_path: Path, module: str, source: str) -> tuple[Path, int]:
+    """A copy of the package with source appended to module, and the line
+    number of its first line."""
+    pkg = tmp_path / "tamecovers"
+    shutil.copytree(PACKAGE, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    path = pkg / module
+    text = path.read_text()
+    path.write_text(text + source)
+    return pkg, len(text.splitlines()) + 1
+
+
+def test_no_assert_statements():
+    assert assert_statements(PACKAGE) == []
+
+
+def test_assert_statement_is_named(tmp_path):
+    pkg, line = _planted(tmp_path, "errors.py", "assert DomainError\n")
+    assert assert_statements(pkg) == [f"errors.py:{line}: assert DomainError"]
+
+
+def test_no_unused_imports():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_unused_import_is_named(tmp_path):
+    pkg, line = _planted(tmp_path, "symhurwitz.py", "import json\n")
+    assert unused_imports(pkg) == [f"symhurwitz.py:{line}: json imported but never used"]
+
+
+def test_no_orphaned_private_functions_or_methods():
+    assert orphaned_privates(PACKAGE) == []
+
+
+def test_orphaned_private_function_and_method_are_named(tmp_path):
+    source = ("def _orphan():\n"
+              "    return _orphan\n"
+              "class Holder:\n"
+              "    def _stray(self):\n"
+              "        return self._stray\n")
+    pkg, line = _planted(tmp_path, "symhurwitz.py", source)
+    assert orphaned_privates(pkg) == [
+        f"symhurwitz.py:{line}: _orphan is never used outside its own body",
+        f"symhurwitz.py:{line + 3}: _stray is never used outside its own body",
+    ]

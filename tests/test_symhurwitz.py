@@ -6,6 +6,7 @@ from tamecovers import symhurwitz
 from tamecovers.errors import DegreeTooLarge, InvalidCycleLength, NotGenusZero
 from tamecovers.symhurwitz import (
     compose,
+    enumerate_char0,
     hurwitz_char0,
     inverse,
     is_single_cycle,
@@ -77,7 +78,37 @@ def test_dedup_agrees_with_naive_orbit_count():
             for es in itertools.combinations_with_replacement(range(2, d + 1), r):
                 if sum(e - 1 for e in es) != 2 * d - 2:
                     continue
-                assert hurwitz_char0(d, es).count == naive_orbit_count(d, es), (d, es)
+                assert enumerate_char0(d, es).count == naive_orbit_count(d, es), (d, es)
+
+
+def _no_enumeration(d, e):
+    raise AssertionError(f"enumerated the {e}-cycles of S_{d}")
+
+
+def test_characters_agree_with_enumeration(monkeypatch):
+    # every genus-0 type with r = 3, 4 and d <= 7 or r = 5 and d <= 6, and
+    # some with e = 1 entries, which the formula drops
+    types = [(4, (1, 2, 2, 3, 3)), (4, (2, 1, 3, 1, 4)), (5, (2, 1, 3, 4, 3, 1))]
+    for d in range(2, 8):
+        for r in (3, 4, 5) if d <= 6 else (3, 4):
+            types += [(d, es) for es in itertools.combinations_with_replacement(range(2, d + 1), r)
+                      if sum(e - 1 for e in es) == 2 * d - 2]
+    assert len(types) == 54
+    want = {t: enumerate_char0(*t).count for t in types}
+    monkeypatch.setattr(symhurwitz, "single_cycles", _no_enumeration)
+    assert {t: hurwitz_char0(*t).count for t in types} == want
+
+
+def test_positive_genus_is_enumerated():
+    # T/d! = 1/2, 1 and 5 here, but automorphisms make the orbit counts 1, 3 and 8
+    for d, want in ((2, 1), (3, 3), (4, 8)):
+        es = (d,) * 4
+        assert hurwitz_char0(d, es).count == want == naive_orbit_count(d, es), d
+
+
+def test_degree_nine_by_characters(monkeypatch):
+    monkeypatch.setattr(symhurwitz, "single_cycles", _no_enumeration)
+    assert hurwitz_char0(9, (5, 5, 5, 5)).count == 25
 
 
 def test_types_riemann_hurwitz_rules_out_count_zero():
@@ -96,10 +127,7 @@ def test_types_riemann_hurwitz_rules_out_count_zero():
 
 
 def test_ruled_out_type_enumerates_nothing(monkeypatch):
-    def no_enumeration(d, e):
-        raise AssertionError(f"enumerated the {e}-cycles of S_{d}")
-
-    monkeypatch.setattr(symhurwitz, "single_cycles", no_enumeration)
+    monkeypatch.setattr(symhurwitz, "single_cycles", _no_enumeration)
     assert hurwitz_char0(9, (5, 5, 5, 3)).count == 0  # sum(e_i - 1) = 14 < 16
 
 
