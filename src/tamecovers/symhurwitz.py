@@ -26,6 +26,22 @@ gives the transitive count
 
 where a sub-multiset B is counted once for each set of positions it takes.
 
+Zero tests.  Write r(A) = sum_{e in A} (e - 1).  An e-cycle has sign
+(-1)^(e-1), so a tuple with product 1 has r(A) even.  The recursion is
+evaluated top down from T(d, A), memoised for the one call, and never
+computes a term these tests prove zero:
+
+  * T(n, A) = 0 unless r(A) is even, r(A) >= 2n - 2 and every e in A is at
+    most n: Riemann-Hurwitz for a transitive action on n points gives
+    r(A) = 2n - 2 + 2g with g >= 0, and S_n has no e-cycle for e > n.
+  * N(n, A) = 0 if r(A) is odd or some e in A exceeds n, by the same
+    parity and the same missing cycles.
+  * In the sum over B <= A the orbit size j needs T(j, B) != 0, so j runs
+    only up to min(n - 1, 1 + r(B)/2).
+
+So only the reachable (n, A) are evaluated, and the characters of the
+partitions of n are built only for an n whose N(n, .) passes its test.
+
 Orbits.  S_d acts on the T(d, A) transitive tuples by conjugation with
 stabilizers the automorphism groups of the covers, so T/d! is the number
 of orbits weighted by 1/|Aut|.  In genus 0 (sum(e_i - 1) = 2d - 2) with at
@@ -34,6 +50,10 @@ each of three branch points, and a Moebius map with three fixed points is
 the identity; so the count is T/d! exactly.  In positive genus this fails
 even when d! divides T: for (3; 3,3,3,3), T/d! = 1 but there are 3 orbits.
 Every other type therefore goes to ``enumerate_char0``.
+
+Caps.  The formula serves degrees up to ``_CHARACTER_CAP`` = 20; the
+enumeration stops at ``DEGREE_CAP`` = 9, and ``naive_orbit_count`` at 5.
+Beyond its cap each raises ``DegreeTooLarge``.
 
 Enumeration.  ``enumerate_char0`` fixes the last cycle to a canonical one
 (killing a factor of its class size), solves the next-to-last cycle from
@@ -55,6 +75,7 @@ from math import comb, factorial, prod
 from .errors import DegreeTooLarge, InvalidCycleLength, InvariantViolated, NotGenusZero
 
 DEGREE_CAP = 9
+_CHARACTER_CAP = 20
 
 Perm = tuple[int, ...]
 
@@ -166,17 +187,17 @@ def _validate(d: int, cycles) -> tuple[int, ...]:
     for e in cycles:
         if not 1 <= e <= d:
             raise InvalidCycleLength(f"cycle length {e} outside [1, {d}]")
-    if d > DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {d} exceeds the enumeration cap {DEGREE_CAP}")
     return cycles
 
 
 def hurwitz_char0(d: int, cycles) -> TupleClassCount:
     """Count single-cycle tuples with identity product and transitive span,
     up to simultaneous conjugation: by characters in genus 0 with at least
-    three e_i >= 2, by ``enumerate_char0`` otherwise."""
+    three e_i >= 2 (d <= 20), by ``enumerate_char0`` otherwise (d <= 9)."""
     cycles = _validate(d, cycles)
     if sum(e - 1 for e in cycles) == 2 * d - 2 and sum(e >= 2 for e in cycles) >= 3:
+        if d > _CHARACTER_CAP:
+            raise DegreeTooLarge(f"degree {d} exceeds the character-formula cap {_CHARACTER_CAP}")
         return TupleClassCount(d=d, cycle_lengths=cycles, count=_count_by_characters(d, cycles))
     return enumerate_char0(d, cycles)
 
@@ -219,31 +240,54 @@ def _central_characters(lam: tuple[int, ...], lengths: list[int]) -> tuple[int, 
 
 
 def _count_by_characters(d: int, cycles: tuple[int, ...]) -> int:
-    """T(d, A) / d! for the cycles' multiset A; see the module docstring."""
+    """T(d, A) / d! for the cycles' multiset A, evaluated top down from
+    T(d, A) so that no term the zero tests rule out is computed; see the
+    module docstring."""
     lengths = sorted({e for e in cycles if e >= 2})
     full = tuple(cycles.count(e) for e in lengths)
-    # a sub-multiset is its vector of multiplicities, one per length
-    subs = list(product(*(range(m + 1) for m in full)))
-    N = {}
-    for n in range(d + 1):
-        chars = [_central_characters(lam, lengths) for lam in _partitions_of(n)]
-        for a in subs:
-            total = sum(dim * dim * prod(f ** k for f, k in zip(fs, a)) for dim, fs in chars)
+    # a sub-multiset is its vector of multiplicities, one per length;
+    # chars, N and T live only for this call
+    chars, N, T = {}, {}, {}
+
+    def ramification(a):
+        return sum(k * (e - 1) for e, k in zip(lengths, a))
+
+    def fits(n, a):
+        return all(e <= n for e, k in zip(lengths, a) if k)
+
+    def n_count(n, a):
+        if ramification(a) % 2 or not fits(n, a):
+            return 0
+        if (n, a) not in N:
+            if n not in chars:
+                chars[n] = [_central_characters(lam, lengths) for lam in _partitions_of(n)]
+            total = sum(dim * dim * prod(f ** k for f, k in zip(fs, a)) for dim, fs in chars[n])
             N[n, a] = total // factorial(n)
-    T = {}
-    for n in range(1, d + 1):
-        for a in subs:
-            t = N[n, a]
-            for b in subs:
-                if any(x > y for x, y in zip(b, a)):
+        return N[n, a]
+
+    def t_count(n, a):
+        r = ramification(a)
+        if r % 2 or r < 2 * n - 2 or not fits(n, a):
+            return 0
+        if (n, a) not in T:
+            t = n_count(n, a)
+            for b in product(*(range(k + 1) for k in a)):
+                rb = ramification(b)
+                if rb % 2:
                     continue
                 rest = tuple(y - x for x, y in zip(b, a))
                 ways = prod(comb(y, x) for x, y in zip(b, a))
-                t -= ways * sum(comb(n - 1, j - 1) * T[j, b] * N[n - j, rest] for j in range(1, n))
+                for j in range(1, min(n - 1, 1 + rb // 2) + 1):
+                    tj = t_count(j, b)
+                    if tj:
+                        t -= ways * comb(n - 1, j - 1) * tj * n_count(n - j, rest)
             T[n, a] = t
-    count, left = divmod(T[d, full], factorial(d))
+        return T[n, a]
+
+    total = t_count(d, full)
+    count, left = divmod(total, factorial(d))
     if left:
-        raise InvariantViolated(f"{factorial(d)} does not divide the {T[d, full]} transitive tuples")
+        raise InvariantViolated(f"{factorial(d)} does not divide the {total} transitive tuples")
     return count
 
 
@@ -251,6 +295,8 @@ def enumerate_char0(d: int, cycles) -> TupleClassCount:
     """The count ``hurwitz_char0`` returns, by enumerating tuples: fix one
     cycle, solve one from the product, canonicalize under the centralizer."""
     cycles = _validate(d, cycles)
+    if d > DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {d} exceeds the enumeration cap {DEGREE_CAP}")
     # Riemann-Hurwitz: the product is even only for an even sum, and a
     # transitive tuple needs sum(e_i - 1) >= 2d - 2 (genus >= 0)
     ramification = sum(e - 1 for e in cycles)

@@ -40,9 +40,10 @@ def run_suite(suite: str, p: int | None = None, p_max: int = 13, d_max: int = 8)
             raise UsageError(f"--p_max must be at least 5, got {p_max}")
         checks = _formulas(p_max)
     elif suite == "roundtrip":
-        if p is not None and p < 5:
-            # no type (d; e1, e2, e3, p-1) with 1 < e_i < p exists below 5
-            raise UsageError(f"--p must be at least 5 for the roundtrip suite, got {p}")
+        if p is not None and (p < 5 or not is_prime(p)):
+            # no type (d; e1, e2, e3, p-1) with 1 < e_i < p exists below 5,
+            # and the suite builds F_p
+            raise UsageError(f"--p must be at least 5 and prime for the roundtrip suite, got {p}")
         checks = _roundtrip([p] if p else [5, 7])
     elif suite == "oracle":
         if d_max < 3:

@@ -326,9 +326,10 @@ def test_verify_oracle_passes_below_the_default_degree(d_max):
     [
         (["verify", "--suite", "oracle", "--d_max", "2"], "--d_max"),
         (["verify", "--suite", "roundtrip", "--p", "3"], "--p"),
+        (["verify", "--suite", "roundtrip", "--p", "6"], "--p"),
         (["verify", "--suite", "formulas", "--p_max", "3"], "--p_max"),
     ],
-    ids=["oracle-d_max-2", "roundtrip-p3", "formulas-p_max-3"],
+    ids=["oracle-d_max-2", "roundtrip-p3", "roundtrip-p6", "formulas-p_max-3"],
 )
 def test_verify_bounds_that_check_nothing_are_usage_errors(argv, flag):
     code, out, err = invoke(argv)

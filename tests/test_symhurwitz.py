@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import pytest
 
@@ -52,8 +53,14 @@ def test_min_formula_rejects_wrong_genus():
 
 
 def test_degree_cap():
-    with pytest.raises(DegreeTooLarge):
-        hurwitz_char0(10, (2, 2, 9, 9))
+    with pytest.raises(DegreeTooLarge, match="enumeration cap 9"):
+        hurwitz_char0(10, (5, 5, 5, 5, 5))
+
+
+def test_character_cap_bounds_genus_zero():
+    assert hurwitz_char0(10, (2, 2, 9, 9)).count == 18  # past the enumeration cap
+    with pytest.raises(DegreeTooLarge, match="character-formula cap 20"):
+        hurwitz_char0(21, (10, 11, 11, 12))
 
 
 def test_invalid_cycles():
@@ -97,6 +104,43 @@ def test_characters_agree_with_enumeration(monkeypatch):
     want = {t: enumerate_char0(*t).count for t in types}
     monkeypatch.setattr(symhurwitz, "single_cycles", _no_enumeration)
     assert {t: hurwitz_char0(*t).count for t in types} == want
+
+
+def test_characters_agree_with_closed_forms():
+    # closed forms that do not come from the formula: min e_i(d+1-e_i) on
+    # every genus-0 4-point type with d <= 12, and Hurwitz's count
+    # (2d-2)! d^(d-3) / d! of genus-0 covers by simple branching
+    four_point = [(d, es) for d in range(3, 13)
+                  for es in itertools.combinations_with_replacement(range(2, d + 1), 4)
+                  if sum(es) == 2 * d + 2]
+    assert len(four_point) == 189
+    for d, es in four_point:
+        assert hurwitz_char0(d, es).count == min_formula(d, es), (d, es)
+    for d in range(3, 16):
+        want = factorial(2 * d - 2) * d ** (d - 3) // factorial(d)
+        assert hurwitz_char0(d, (2,) * (2 * d - 2)).count == want, d
+    # many distinct lengths; the value of the unpruned recursion
+    assert hurwitz_char0(16, (2, 3, 4, 5, 6, 7, 10)).count == 1870740
+
+
+def test_character_tables_do_not_outlive_a_call(monkeypatch):
+    # a memo kept across calls would make the second call build fewer
+    # characters, and turn repeated requests into cache hits
+    calls = 0
+    real = symhurwitz._central_characters
+
+    def counting(lam, lengths):
+        nonlocal calls
+        calls += 1
+        return real(lam, lengths)
+
+    monkeypatch.setattr(symhurwitz, "_central_characters", counting)
+    per_call = []
+    for _ in range(2):
+        calls = 0
+        assert hurwitz_char0(8, (3, 5, 5, 5)).count == 18
+        per_call.append(calls)
+    assert per_call[0] == per_call[1] > 0
 
 
 def test_positive_genus_is_enumerated():
