@@ -311,7 +311,10 @@ def _parse_sweep(spec: str) -> list[int]:
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"bad --sweep bounds in {spec!r}")
-    return [p for p in range(lo, hi + 1) if is_prime(p)]
+    primes = [p for p in range(lo, hi + 1) if is_prime(p)]
+    if not primes:
+        raise UsageError(f"--sweep {spec!r} holds no prime")
+    return primes
 
 
 def _run_sweepable(body, args) -> dict:

@@ -10,10 +10,11 @@ and ``_one``:
                    generator t
 * rationals     -- a reduced Fraction (positive denominator)
 
-A FieldElem wraps one raw value with its context.  Elements of different
-contexts never mix; arithmetic across contexts raises MixedContexts.  The
-only sanctioned conversion is ``lift_to`` from F_p into one of its
-extensions.
+A FieldElem wraps one raw value with its context and combines only with
+elements of that context: arithmetic across contexts raises MixedContexts,
+arithmetic with an int raises TypeError, and an int never equals an
+element.  An int enters only through ``ctx.from_int`` or ``ctx.parse``; the
+only conversion between fields is ``lift_to``, from F_p into an extension.
 
 The private ``_p*`` functions are the polynomial kernel: add, sub, mul,
 divmod, monic, gcd, pow-mod and inverse-mod on ascending sequences of raw
@@ -203,52 +204,20 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
 class FieldCtx:
     """Shared, immutable description of a field; owns the raw arithmetic.
 
-    ``_zero`` and ``_one`` are the canonical raw zero and one, which each
-    subclass sets.
+    Each subclass sets the canonical raw ``_zero`` and ``_one`` and defines
+    ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_pth_root``,
+    ``from_int``, ``format``, ``parse`` and ``sort_key``.
     """
 
     kind = ""
     characteristic = 0
     order = None  # None for infinite fields
 
-    # raw-level operations, implemented per subclass
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _sub(self, a, b):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _pth_root(self, a):
-        raise NotImplementedError
-
-    def from_int(self, k: int) -> "FieldElem":
-        raise NotImplementedError
-
-    def format(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, s: str) -> "FieldElem":
-        raise NotImplementedError
-
-    def sort_key(self, a):
-        raise NotImplementedError
-
     def elem(self, value) -> "FieldElem":
         if isinstance(value, FieldElem):
             if value.ctx is not self:
                 raise MixedContexts(f"element of {value.ctx} used in {self}")
             return value
-        if isinstance(value, int):
-            return self.from_int(value)
         raise UsageError(f"cannot build an element of {self} from {value!r}")
 
     @property
@@ -543,8 +512,6 @@ class FieldElem:
             if other.ctx is not self.ctx:
                 raise MixedContexts(f"mixing elements of {self.ctx} and {other.ctx}")
             return other.raw
-        if isinstance(other, int):
-            return self.ctx.from_int(other).raw
         return None
 
     def __add__(self, other):
@@ -553,19 +520,11 @@ class FieldElem:
             return NotImplemented
         return FieldElem(self.ctx, self.ctx._add(self.raw, r))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         r = self._coerce(other)
         if r is None:
             return NotImplemented
         return FieldElem(self.ctx, self.ctx._sub(self.raw, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx._sub(r, self.raw))
 
     def __mul__(self, other):
         r = self._coerce(other)
@@ -573,19 +532,11 @@ class FieldElem:
             return NotImplemented
         return FieldElem(self.ctx, self.ctx._mul(self.raw, r))
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         r = self._coerce(other)
         if r is None:
             return NotImplemented
         return FieldElem(self.ctx, self.ctx._mul(self.raw, self.ctx._inv(r)))
-
-    def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx._mul(r, self.ctx._inv(self.raw)))
 
     def __neg__(self):
         return FieldElem(self.ctx, self.ctx._neg(self.raw))
@@ -616,8 +567,6 @@ class FieldElem:
     def __eq__(self, other):
         if isinstance(other, FieldElem):
             return self.ctx is other.ctx and self.raw == other.raw
-        if isinstance(other, int):
-            return self == self.ctx.from_int(other)
         return NotImplemented
 
     def __hash__(self):

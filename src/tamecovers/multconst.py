@@ -23,8 +23,8 @@ points of the locus up to a bound on their field degree, for the commands
 that print them.
 
 ``count_covers_at`` is the independent oracle: it counts the mu-fiber over
-a given lambda inside the extension tower by degree bookkeeping alone,
-discarding the mu excluded by the construction.
+a given lambda by degree bookkeeping alone, discarding the mu excluded by
+the construction; it counts only the mu of field degree up to its bound.
 """
 
 from __future__ import annotations
@@ -309,10 +309,11 @@ def _fiber_poly(L: LambdaMap, lam0: FieldElem) -> Poly:
 
 
 def count_covers_at(L: LambdaMap, lam0, max_ext_degree: int = DEFAULT_EXT) -> int:
-    """Number of valid mu with lambda(mu) = lam0 in the extension tower.
+    """Number of valid mu with lambda(mu) = lam0 and field degree at most
+    max_ext_degree over F_p; a mu of larger degree is not counted.
 
-    Counts the distinct roots of the fiber polynomial whose degree over F_p
-    is within the bound, leaving out the roots excluded by the construction.
+    Counts the distinct roots of the fiber polynomial within the bound,
+    leaving out the roots excluded by the construction.
     """
     if lam0 is INF:
         raise BranchValueExcluded("lambda = infinity is a branch value")

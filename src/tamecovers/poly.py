@@ -19,9 +19,9 @@ the roots of smaller degree are peeled off.
   factors: for a prime-field polynomial those with k up to a bound, inside
   the canonical field F_{p^k} of the tower; for a polynomial over F_{p^n}
   those with k dividing n, inside F_{p^n} itself.
-* ``count_roots_by_degree`` counts the roots of each degree k across the
-  whole tower, over any finite coefficient field, and never has to name
-  them.
+* ``count_roots_by_degree`` counts the roots of each degree k up to its
+  bound, over any finite coefficient field, and never has to name them;
+  roots of larger degree are not counted.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class Poly:
             if other.ctx is not self.ctx:
                 raise MixedContexts(f"mixing polynomials over {self.ctx} and {other.ctx}")
             return other.raw
-        if isinstance(other, (FieldElem, int)):
+        if isinstance(other, FieldElem):
             return tuple(_trim(self.ctx, [self.ctx.elem(other).raw]))
         return None
 
@@ -132,8 +132,6 @@ class Poly:
         if o is None:
             return NotImplemented
         return Poly(self.ctx, tuple(_padd(self.ctx, self.raw, o)))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Poly(self.ctx, tuple(map(self.ctx._neg, self.raw)))
@@ -144,23 +142,15 @@ class Poly:
             return NotImplemented
         return Poly(self.ctx, tuple(_psub(self.ctx, self.raw, o)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Poly(self.ctx, tuple(_psub(self.ctx, o, self.raw)))
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Poly(self.ctx, tuple(_pmul(self.ctx, self.raw, o)))
 
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative polynomial power")
+            raise InvariantViolated(f"negative polynomial power {k}")
         result = Poly.one(self.ctx)
         base = self
         while k:
@@ -216,7 +206,7 @@ class Poly:
         return poly_str(self)
 
 
-def poly_str(f: Poly, var: str = "y") -> str:
+def poly_str(f: Poly) -> str:
     """Sparse descending text form, e.g. "3*y^3 - 2*y^2 + 1"."""
     if f.is_zero:
         return "0"
@@ -232,7 +222,7 @@ def poly_str(f: Poly, var: str = "y") -> str:
         if k == 0:
             term = mag
         else:
-            yk = var if k == 1 else f"{var}^{k}"
+            yk = "y" if k == 1 else f"y^{k}"
             term = yk if mag == "1" else f"{mag}*{yk}"
         if not parts:
             parts.append(("-" if neg else "") + term)
@@ -288,7 +278,7 @@ def pth_root(f: Poly) -> Poly:
         if i % p == 0:
             out.append(ctx._pth_root(c))
         elif c != ctx._zero:
-            raise ValueError("polynomial is not a p-th power")
+            raise InvariantViolated("polynomial is not a p-th power")
     return Poly(ctx, tuple(out))
 
 

@@ -3,7 +3,8 @@
 A single-cycle Hurwitz number counts tuples (g_1, ..., g_r) of e_i-cycles
 in S_d with product the identity and transitive joint action, taken up to
 simultaneous conjugation.  ``hurwitz_char0`` counts a genus-0 type by the
-Frobenius character formula and every other type by enumeration.
+Frobenius character formula, a positive-genus type by enumeration, and a
+type that Riemann-Hurwitz rules out as 0.
 
 Character formula.  Drop the entries e_i = 1 (they are the identity).  For
 a multiset A of cycle lengths, the number of tuples in S_n with g_i an
@@ -47,11 +48,13 @@ stabilizers the automorphism groups of the covers, so T/d! is the number
 of orbits weighted by 1/|Aut|.  In genus 0 (sum(e_i - 1) = 2d - 2) with at
 least three e_i >= 2, an automorphism fixes the one ramified point over
 each of three branch points, and a Moebius map with three fixed points is
-the identity; so the count is T/d! exactly.  In positive genus this fails
-even when d! divides T: for (3; 3,3,3,3), T/d! = 1 but there are 3 orbits.
-Every other type therefore goes to ``enumerate_char0``.
+the identity; so the count is T/d! exactly.  The other genus-0 types are
+(d; d, d, 1, ...), with the one orbit y^d.  In positive genus T/d! fails
+even when d! divides T: for (3; 3,3,3,3), T/d! = 1 but there are 3 orbits;
+so positive genus goes to ``enumerate_char0``.
 
-Caps.  The formula serves degrees up to ``_CHARACTER_CAP`` = 20; the
+Caps.  A type with odd sum(e_i - 1), or one below 2d - 2, counts 0 at any
+degree.  The formula serves degrees up to ``_CHARACTER_CAP`` = 20; the
 enumeration stops at ``DEGREE_CAP`` = 9, and ``naive_orbit_count`` at 5.
 Beyond its cap each raises ``DegreeTooLarge``.
 
@@ -59,7 +62,8 @@ Enumeration.  ``enumerate_char0`` fixes the last cycle to a canonical one
 (killing a factor of its class size), solves the next-to-last cycle from
 the product condition, and enumerates the remaining r-2 classes directly;
 orbits of the residual symmetry -- the centralizer of the fixed cycle --
-are collapsed through canonical forms.  It is the oracle for the formula.
+are collapsed through canonical forms.  With no Riemann-Hurwitz shortcut,
+it is an independent oracle for the formula and the zero tests.
 
 ``naive_orbit_count`` is an intentionally separate implementation (no fixed
 cycle, canonical forms over all of S_d) kept as an oracle for the orbit
@@ -192,14 +196,22 @@ def _validate(d: int, cycles) -> tuple[int, ...]:
 
 def hurwitz_char0(d: int, cycles) -> TupleClassCount:
     """Count single-cycle tuples with identity product and transitive span,
-    up to simultaneous conjugation: by characters in genus 0 with at least
-    three e_i >= 2 (d <= 20), by ``enumerate_char0`` otherwise (d <= 9)."""
+    up to simultaneous conjugation: 0 where Riemann-Hurwitz rules the type
+    out, by characters in genus 0 (d <= 20), by ``enumerate_char0`` in
+    positive genus (d <= 9); see the module docstring."""
     cycles = _validate(d, cycles)
-    if sum(e - 1 for e in cycles) == 2 * d - 2 and sum(e >= 2 for e in cycles) >= 3:
-        if d > _CHARACTER_CAP:
-            raise DegreeTooLarge(f"degree {d} exceeds the character-formula cap {_CHARACTER_CAP}")
-        return TupleClassCount(d=d, cycle_lengths=cycles, count=_count_by_characters(d, cycles))
-    return enumerate_char0(d, cycles)
+    ramification = sum(e - 1 for e in cycles)
+    if ramification % 2 or ramification < 2 * d - 2:
+        count = 0
+    elif ramification > 2 * d - 2:
+        return enumerate_char0(d, cycles)
+    elif sum(e >= 2 for e in cycles) < 3:
+        count = 1
+    elif d > _CHARACTER_CAP:
+        raise DegreeTooLarge(f"degree {d} exceeds the character-formula cap {_CHARACTER_CAP}")
+    else:
+        count = _count_by_characters(d, cycles)
+    return TupleClassCount(d=d, cycle_lengths=cycles, count=count)
 
 
 def _partitions_of(n: int, largest: int | None = None):
@@ -297,11 +309,6 @@ def enumerate_char0(d: int, cycles) -> TupleClassCount:
     cycles = _validate(d, cycles)
     if d > DEGREE_CAP:
         raise DegreeTooLarge(f"degree {d} exceeds the enumeration cap {DEGREE_CAP}")
-    # Riemann-Hurwitz: the product is even only for an even sum, and a
-    # transitive tuple needs sum(e_i - 1) >= 2d - 2 (genus >= 0)
-    ramification = sum(e - 1 for e in cycles)
-    if ramification % 2 or ramification < 2 * d - 2:
-        return TupleClassCount(d=d, cycle_lengths=cycles, count=0)
     es = sorted(cycles, reverse=True)
     e_fix, e_solve, rest = es[0], es[1], es[2:]
 

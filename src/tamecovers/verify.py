@@ -66,10 +66,6 @@ def _check(name: str, got, want) -> dict:
     return {"name": name, "pass": got == want, "got": got, "want": want}
 
 
-def _primes_upto(p_max: int, start: int = 5) -> list[int]:
-    return [p for p in range(start, p_max + 1) if is_prime(p)]
-
-
 def _admissible_types(p: int) -> list[multconst.FourPointType]:
     out = []
     for es in itertools.product(range(2, p), repeat=3):
@@ -120,7 +116,7 @@ def _paper_examples(p: int) -> list[dict]:
 
 def _formulas(p_max: int) -> list[dict]:
     checks = []
-    for p in _primes_upto(p_max):
+    for p in filter(is_prime, range(5, p_max + 1)):
         ctx = make_field(p)
         mismatches = []
         types = _admissible_types(p)

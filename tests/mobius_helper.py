@@ -20,7 +20,7 @@ def apply_mobius(m, pt):
 def mobius(f: RatFunc, pre=None, post=None) -> RatFunc:
     """post o f o pre, each map defaulting to the identity."""
     ctx = f.ctx
-    identity = (1, 0, 0, 1)
+    identity = tuple(map(ctx.from_int, (1, 0, 0, 1)))
     a, b, c, d = (ctx.elem(x) for x in (pre or identity))
     pa, pb, pc, pd = (ctx.elem(x) for x in (post or identity))
     m = max(f.num.degree, f.den.degree)

@@ -23,7 +23,7 @@ def test_family_p5_is_unique_with_known_data():
     assert len(fams) == 1
     fam = fams[0]
     assert (fam.a.raw, fam.rho.raw, fam.c.raw) == (3, 4, 2)
-    want = Poly.one(F5) + P(F5, -1, 1) ** 2 * P(F5, -4, 1) ** 4 * P(F5, -3, 1) * 2
+    want = Poly.one(F5) + P(F5, -1, 1) ** 2 * P(F5, -4, 1) ** 4 * P(F5, -3, 1) * F5.from_int(2)
     assert fam.merged.f == RatFunc.from_poly(want)
     assert fam.merged.ram_type.d == 7
 
@@ -31,10 +31,10 @@ def test_family_p5_is_unique_with_known_data():
 def test_family_quadratic_and_order_three_conditions():
     fam = construct_family(5, 2, 4)[0]
     a, rho, e3 = fam.a, fam.rho, F5.from_int(2)
-    assert (e3 * a * a + 2 * e3 * a + 2 - e3).is_zero
+    assert (e3 * a * a + F5.from_int(2) * e3 * a + F5.from_int(2) - e3).is_zero
     # both linear conditions at 0 give the same rho
-    assert rho * (e3 * a + 1) == (e3 - 1) * a
-    assert rho * (e3 + 1) == e3 - 2 - a
+    assert rho * (e3 * a + F5.from_int(1)) == (e3 - F5.from_int(1)) * a
+    assert rho * (e3 + F5.from_int(1)) == e3 - F5.from_int(2) - a
     # the factorization shape and the order-3 point at 0
     f = fam.merged.f
     assert ord_at(f, F5.zero, F5.zero) == 3
@@ -74,11 +74,11 @@ def test_roots_are_dropped_exactly_when_points_collide():
             kept = {repr(f.a) for f in construct_family(p, e3, e4)}
             for a, _m, _k in roots(quad, 2):
                 actx = a.ctx
-                den1 = actx.from_int(e3) * a + 1
+                den1 = actx.from_int(e3) * a + actx.from_int(1)
                 if den1.is_zero:
                     assert repr(a) not in kept
                     continue
-                rho = (actx.from_int(e3) - 1) * a / den1
+                rho = (actx.from_int(e3) - actx.from_int(1)) * a / den1
                 distinct = len({repr(x) for x in (actx.zero, actx.one, rho, a)}) == 4
                 assert (repr(a) in kept) == distinct
 
@@ -141,7 +141,7 @@ from tamecovers.errors import TypeDegenerates
 from tamecovers.field import make_field
 m = construct_family(5, 2, 4)[0].merged
 try:
-    additive_twist(dataclasses.replace(m, rho=m.rho + 3), make_field(5).one)
+    additive_twist(dataclasses.replace(m, rho=m.rho + make_field(5).from_int(3)), make_field(5).one)
 except TypeDegenerates as exc:
     print(__debug__, exc.detail)
 """
@@ -150,7 +150,7 @@ except TypeDegenerates as exc:
 def test_perturbed_twist_names_the_failed_clause_even_under_O():
     m = construct_family(5, 2, 4)[0].merged
     with pytest.raises(TypeDegenerates, match="failed type verification: index at 2 is 1"):
-        additive_twist(dataclasses.replace(m, rho=m.rho + 3), F5.one)
+        additive_twist(dataclasses.replace(m, rho=m.rho + F5.from_int(3)), F5.one)
 
     src = os.path.dirname(os.path.dirname(tamecovers.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

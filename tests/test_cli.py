@@ -230,6 +230,19 @@ def test_additive_family_and_twist():
     assert tw["results"][0]["cover"]["type"] == [7, 7, 4, 3, 2]
 
 
+@pytest.mark.parametrize("spec", ["p=5..3", "p=24..28"])
+def test_sweep_that_holds_no_prime_is_a_usage_error(spec):
+    code, out, err = invoke(["hurwitz-p", "--sweep", spec, "--cycles", "2,2,2"])
+    assert (code, out) == (1, "") and err == f"usage error: --sweep {spec!r} holds no prime\n"
+
+
+@pytest.mark.parametrize("d, cycles, count", [("21", "10,10,11,12", 0), ("10", "10,10,1", 1)])
+def test_hurwitz_char0_answers_past_every_cap_without_counting(d, cycles, count):
+    # an odd sum(e_i - 1) admits no tuple; genus-0 (d; d, d, 1) is y^d
+    code, out, _err = invoke(["hurwitz-char0", "--d", d, "--cycles", cycles])
+    assert (code, out) == (0, f'{{"count": {count}}}\n')
+
+
 def test_sweep_is_sorted_and_reports_errors_inline():
     doc = invoke_json(["hurwitz-p", "--sweep", "p=5..13", "--cycles", "2,2,2"])
     ps = [entry["p"] for entry in doc["sweep"]]

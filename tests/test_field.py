@@ -10,6 +10,7 @@ from tamecovers.errors import (
     UsageError,
 )
 from tamecovers.field import _pdivmod, _pmul, make_field
+from tamecovers.poly import Poly
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -47,7 +48,7 @@ def test_modulus_determinism():
 def test_modulus_is_irreducible(p, n):
     # an irreducible modulus has no roots in any proper subfield tower step
     ctx = make_field(p, n)
-    from tamecovers.poly import Poly, roots
+    from tamecovers.poly import roots
 
     base = make_field(p)
     mod = Poly.from_ints(base, list(ctx.modulus))
@@ -85,7 +86,7 @@ def test_frobenius_of_generator():
     ft = t.frobenius()
     assert ft == F25.from_int(4) * t
     # the image still satisfies the modulus relation
-    assert (ft * ft + 2).is_zero
+    assert (ft * ft + F25.from_int(2)).is_zero
 
 
 def test_frobenius_squared_is_identity_on_F25():
@@ -192,3 +193,15 @@ def test_min_degree():
 def test_element_order_is_deterministic():
     seq = [e.raw for e in F25.elements()]
     assert seq[:6] == [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1)]
+
+
+def test_ints_are_not_elements():
+    # an int enters a field only through from_int or parse
+    x = Poly.x(F5)
+    for combine in (lambda: F5.one + 1, lambda: 1 + F5.one, lambda: x - 1, lambda: 2 * x):
+        with pytest.raises(TypeError):
+            combine()
+    with pytest.raises(UsageError):
+        F5.elem(1)
+    assert F5.one != 1
+    assert F5.one + F5.from_int(1) == F5.parse("2")

@@ -8,6 +8,10 @@
   a ``_method`` of a module-level class, must be named somewhere in the
   package outside its own body (methods are matched by name, whatever the
   class).
+- No raise outside the error taxonomy: every ``raise`` names a class
+  defined in ``errors.py`` or a parameter of an enclosing function (as
+  ``expect_cover``'s ``exc``), or is a bare re-raise, so every failure
+  carries a stable code.
 
 Each check returns one line per violation, naming file, line and name;
 each has a test that plants a violation in a copy of the package.
@@ -76,6 +80,29 @@ def orphaned_privates(pkg: Path) -> list[str]:
             and not fn.name.startswith("__") and total[fn.name] == _refs(fn)[fn.name]]
 
 
+def foreign_raises(pkg: Path) -> list[str]:
+    taxonomy = {node.name for node in ast.parse((pkg / "errors.py").read_text()).body
+                if isinstance(node, ast.ClassDef)}
+    bad = []
+
+    def visit(path, node, params):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            params = params | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if name not in taxonomy | params:
+                bad.append(f"{path.relative_to(pkg)}:{node.lineno}: raise {name} "
+                           "is not a class of errors.py")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, params)
+
+    for path in _modules(pkg):
+        visit(path, ast.parse(path.read_text(), str(path)), frozenset())
+    return bad
+
+
 def _planted(tmp_path: Path, module: str, source: str) -> tuple[Path, int]:
     """A copy of the package with source appended to module, and the line
     number of its first line."""
@@ -119,4 +146,21 @@ def test_orphaned_private_function_and_method_are_named(tmp_path):
     assert orphaned_privates(pkg) == [
         f"symhurwitz.py:{line}: _orphan is never used outside its own body",
         f"symhurwitz.py:{line + 3}: _stray is never used outside its own body",
+    ]
+
+
+def test_no_raise_outside_the_error_taxonomy():
+    assert foreign_raises(PACKAGE) == []
+
+
+def test_raise_outside_the_error_taxonomy_is_named(tmp_path):
+    source = ("def hold(exc):\n"
+              "    try:\n"
+              "        raise exc('a parameter')\n"
+              "    except KeyError:\n"
+              "        raise\n"
+              "    raise ValueError('stray')\n")
+    pkg, line = _planted(tmp_path, "symhurwitz.py", source)
+    assert foreign_raises(pkg) == [
+        f"symhurwitz.py:{line + 5}: raise ValueError is not a class of errors.py",
     ]

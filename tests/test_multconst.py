@@ -121,7 +121,7 @@ def test_lambda_is_separable_and_matches_symbolic_derivative():
             assert not w.is_zero
             wh = hn.derivative() * hd - hn * hd.derivative()
             lhs = w * (ypow * hd - hn) ** 2
-            rhs = -(ypow * wh * (ypow - 1) * den ** 2)
+            rhs = -(ypow * wh * (ypow - ctx.from_int(1)) * den ** 2)
             assert lhs == rhs
 
 

@@ -7,6 +7,7 @@ from tamecovers.errors import (
     CharZero,
     ConstantMap,
     DivisionByZero,
+    InvariantViolated,
     ValueMismatch,
     ZeroDenominator,
 )
@@ -112,6 +113,16 @@ def test_pth_root_and_radical():
     assert radical(g) == (P(F5, 1, 1) * P(F5, 3, 1) * P(F5, 0, 1)).monic()
 
 
+def test_pth_root_of_a_non_pth_power_is_an_invariant_violation():
+    with pytest.raises(InvariantViolated, match="not a p-th power"):
+        pth_root(P(F5, 1, 1))
+
+
+def test_negative_polynomial_power_is_an_invariant_violation():
+    with pytest.raises(InvariantViolated, match="negative polynomial power"):
+        P(F5, 1, 1) ** -1
+
+
 # -- rational functions ------------------------------------------------------
 
 def test_ratfunc_reduces_and_normalizes():
@@ -154,7 +165,7 @@ def test_ord_at_three_point_cover():
 
 @pytest.mark.parametrize("ctx", [F7, QQ], ids=["F7", "Q"])
 def test_ord_at_infinity_is_ord_at_zero_of_reciprocal(ctx):
-    inv = (0, 1, 1, 0)  # y -> 1/y
+    inv = tuple(map(ctx.from_int, (0, 1, 1, 0)))  # y -> 1/y
     rng = random.Random(41)
     for _ in range(40):
         num, den = (
@@ -227,7 +238,7 @@ def test_roots_conjugate_quadratic():
     got = roots(P(F5, 1, 1, 1), 2)
     assert [(m, k) for _r, m, k in got] == [(1, 2), (1, 2)]
     for r, _m, _k in got:
-        assert (r * r + r + 1).is_zero
+        assert (r * r + r + r.ctx.from_int(1)).is_zero
 
 
 def test_roots_multiplicity_sum_on_split_products():

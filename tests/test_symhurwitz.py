@@ -170,6 +170,12 @@ def test_types_riemann_hurwitz_rules_out_count_zero():
     assert excluded == 136
 
 
+def test_genus_zero_with_two_moving_cycles_counts_one():
+    # (d; d, d, 1) is the only such type: sigma, sigma^-1 and the identity
+    for d in range(1, 8):
+        assert hurwitz_char0(d, (d, d, 1)).count == 1 == enumerate_char0(d, (d, d, 1)).count, d
+
+
 def test_ruled_out_type_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(symhurwitz, "single_cycles", _no_enumeration)
     assert hurwitz_char0(9, (5, 5, 5, 3)).count == 0  # sum(e_i - 1) = 14 < 16
