@@ -17,7 +17,7 @@ import sys
 
 from . import addconst, jsonio, multconst, symhurwitz, verify
 from .errors import DomainError, UsageError
-from .field import FieldCtx, is_prime, make_field
+from .field import is_prime, make_field
 from .poly import DEFAULT_EXT
 from .threepoint import ThreePointSpec, solve_three_point
 
@@ -50,15 +50,6 @@ def _ext(s: str) -> int:
     return k
 
 
-def _parse_in_ctx(ctx: FieldCtx, p: int, s: str):
-    """Parse an element literal into ctx, lifting from F_p when needed."""
-    try:
-        return ctx.parse(s)
-    except UsageError:
-        e = jsonio.parse_cli_elem(p, s)
-        return e.lift_to(ctx)
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The command table, built once per process: each subcommand declares
@@ -81,15 +72,13 @@ def build_parser() -> _Parser:
         return sp
 
     sp = add("hurwitz-char0", _cmd_hurwitz_char0,
-             "characteristic-zero count by tuple enumeration")
+             "characteristic-zero count: characters in genus 0, tuple enumeration otherwise")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--cycles", type=_cycles(), required=True)
 
     sp = add("hurwitz-p", _cmd_hurwitz_p, "p-Hurwitz number of (d; e1,e2,e3,p-1), with checks",
              ext=True, sweep=True)
-    sp.add_argument("--cycles", type=_cycles(), required=True)
-    sp.add_argument("--with-pminus1", action="store_true",
-                    help="the implicit fourth index p-1 is appended")
+    sp.add_argument("--cycles", type=_cycles(), required=True, help="e1,e2,e3 or e1,e2,e3,p-1")
 
     sp = add("three-point", _cmd_three_point, "the unique normalized 3-point cover")
     sp.add_argument("--p", type=int, required=True, help="prime, or 0 for Q")
@@ -130,8 +119,8 @@ def build_parser() -> _Parser:
     sp = add("verify", _cmd_verify, "run a verification suite")
     sp.add_argument("--suite", required=True, choices=verify.SUITES)
     sp.add_argument("--p", type=int)
-    sp.add_argument("--p_max", type=int, default=13)
-    sp.add_argument("--d_max", type=int, default=8)
+    sp.add_argument("--p_max", type=int)
+    sp.add_argument("--d_max", type=int)
 
     return parser
 
@@ -145,20 +134,12 @@ def _cmd_hurwitz_char0(args) -> dict:
     return {"count": res.count}
 
 
-def _four_type(p: int, cycles, with_pminus1: bool) -> multconst.FourPointType:
-    if with_pminus1 or len(cycles) == 3:
-        if len(cycles) != 3:
-            raise UsageError("--with-pminus1 needs exactly 3 cycle lengths")
-        return multconst.FourPointType(p, *cycles)
-    if len(cycles) == 4:
-        if cycles[3] != p - 1:
-            raise UsageError(f"fourth index must be p-1 = {p - 1}")
-        return multconst.FourPointType(p, *cycles[:3])
-    raise UsageError("--cycles must have 3 entries (or 4 ending in p-1)")
-
-
 def _cmd_hurwitz_p(args, p: int) -> dict:
-    t = _four_type(p, args.cycles, args.with_pminus1)
+    if len(args.cycles) not in (3, 4):
+        raise UsageError("--cycles must have 3 entries (or 4 ending in p-1)")
+    if args.cycles[3:] not in ((), (p - 1,)):
+        raise UsageError(f"fourth index must be p-1 = {p - 1}")
+    t = multconst.FourPointType(p, *args.cycles[:3])
     h_p = multconst.p_hurwitz_4pt(p, t)
     if h_p == 0:
         return {"h_p": 0, "degree_check": None, "supersingular": []}
@@ -212,8 +193,8 @@ def _cmd_contract(args) -> dict:
     ctx = f.ctx
     if ctx.characteristic != args.p:
         raise UsageError(f"--p {args.p} does not match the cover file's char {ctx.characteristic}")
-    lam = _parse_in_ctx(ctx, args.p, args.lam)
-    mu = _parse_in_ctx(ctx, args.p, args.mu)
+    lam = jsonio.parse_cli_elem(args.p, args.lam, into=ctx)
+    mu = jsonio.parse_cli_elem(args.p, args.mu, into=ctx)
     nc = multconst.contract(f, lam, mu)
     sc = nc.ram_type.single_cycle
     return jsonio.cover_json(nc.cover, [nc.ram_type.d, *(sc or ())])
@@ -280,7 +261,7 @@ def _cmd_additive_twist(args) -> dict:
     results = []
     for i, fam in enumerate(fams):
         ctx = fam.merged.f.ctx
-        c = _parse_in_ctx(ctx, p, args.c)
+        c = jsonio.parse_cli_elem(p, args.c, into=ctx)
         tw = addconst.additive_twist(fam.merged, c)
         sc = tw.cover.ram_type.single_cycle
         results.append(

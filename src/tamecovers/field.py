@@ -32,7 +32,11 @@ serialized element reproducible across runs.
 The text form of an element is exact and self-describing: "3" for a
 prime-field or small rational value, "-2/3" for a fraction, and the dense
 descending form "4*t+1" (always n terms) for an extension element, so the
-extension degree can be read off the string itself.
+extension degree can be read off the string itself.  ``format`` is the one
+grammar: ``parse`` accepts a string exactly when ``format`` prints it back
+unchanged, so "04", "4/6", "-0", "1*t+02", a non-ASCII digit or stray
+whitespace is a UsageError.  Each context reads only a candidate raw value
+from the ASCII digit tokens of the text (``_raw_of``).
 """
 
 from __future__ import annotations
@@ -64,6 +68,27 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
+def _digits(i: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of i, least significant first."""
+    return tuple(i // p ** k % p for k in range(n))
+
+
+def _power(base, k: int, one):
+    """base ** k by square-and-multiply, for k >= 0."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +212,7 @@ def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
     coefficients (c_{n-1}, ..., c_0) in ascending order, constant fastest."""
     F = make_field(p)
     for idx in range(p ** n):
-        coeffs = [0] * n
-        rem = idx
-        for pos in range(n):  # pos 0 = constant term, varies fastest
-            coeffs[pos] = rem % p
-            rem //= p
-        f = coeffs + [1]
+        f = list(_digits(idx, p, n)) + [1]  # the constant term varies fastest
         if _is_irreducible(F, f):
             return tuple(f)
     raise NoModulusFound(f"no irreducible of degree {n} over F_{p}")
@@ -206,7 +226,9 @@ class FieldCtx:
 
     Each subclass sets the canonical raw ``_zero`` and ``_one`` and defines
     ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_pth_root``,
-    ``from_int``, ``format``, ``parse`` and ``sort_key``.
+    ``from_int``, ``format``, ``_raw_of`` and ``sort_key``.  ``_raw_of(s)``
+    returns the in-range raw value read from the ASCII digit tokens of s, or
+    None; ``parse`` accepts s only when ``format`` of that value is s.
     """
 
     kind = ""
@@ -219,6 +241,17 @@ class FieldCtx:
                 raise MixedContexts(f"element of {value.ctx} used in {self}")
             return value
         raise UsageError(f"cannot build an element of {self} from {value!r}")
+
+    def parse(self, s: str) -> "FieldElem":
+        """The element whose printed form is s."""
+        try:
+            raw = self._raw_of(s)
+        except ValueError:  # a digit run too long for int()
+            raw = None
+        if raw is None or self.format(raw) != s:
+            raise UsageError(f"bad element literal {s!r} for {self}: expected its "
+                             f"printed form, such as {self.format(self._one)!r}")
+        return FieldElem(self, raw)
 
     @property
     def zero(self) -> "FieldElem":
@@ -271,13 +304,8 @@ class PrimeField(FieldCtx):
     def format(self, a):
         return str(a)
 
-    def parse(self, s):
-        if not s.isdigit():
-            raise UsageError(f"bad element literal {s!r} for {self}")
-        v = int(s)
-        if v >= self.p:
-            raise UsageError(f"literal {s!r} out of range for {self}")
-        return FieldElem(self, v)
+    def _raw_of(self, s):
+        return int(s) if _is_digits(s) and int(s) < self.p else None
 
     def sort_key(self, a):
         return a
@@ -375,38 +403,19 @@ class ExtField(FieldCtx):
                 parts.append(f"{c}*t^{k}")
         return "+".join(parts)
 
-    def parse(self, s):
-        terms = s.split("+")
-        if len(terms) != self.n:
-            raise UsageError(f"literal {s!r} does not have {self.n} dense terms")
-        coeffs = [0] * self.n
-        for expect_k, term in zip(range(self.n - 1, -1, -1), terms):
-            if expect_k == 0:
-                cs, rest = term, None
-            elif "*" not in term:
-                raise UsageError(f"bad term {term!r} in {s!r}")
-            else:
-                cs, rest = term.split("*", 1)
-            if rest is not None:
-                want = "t" if expect_k == 1 else f"t^{expect_k}"
-                if rest != want:
-                    raise UsageError(f"bad term {term!r} in {s!r} (expected power {want})")
-            if not cs.isdigit() or int(cs) >= self.p:
-                raise UsageError(f"bad coefficient {cs!r} in {s!r}")
-            coeffs[expect_k] = int(cs)
-        return FieldElem(self, tuple(coeffs))
+    def _raw_of(self, s):
+        # the coefficient of each "+"-separated term, highest power first
+        cs = [term.split("*", 1)[0] for term in s.split("+")]
+        if len(cs) == self.n and all(_is_digits(c) and int(c) < self.p for c in cs):
+            return tuple(int(c) for c in reversed(cs))
+        return None
 
     def sort_key(self, a):
         return tuple(reversed(a))  # counting order: constant term least significant
 
     def elements(self):
         for i in range(self.order):
-            raw = []
-            rem = i
-            for _ in range(self.n):
-                raw.append(rem % self.p)
-                rem //= self.p
-            yield FieldElem(self, tuple(raw))
+            yield FieldElem(self, _digits(i, self.p, self.n))
 
 
 class RationalField(FieldCtx):
@@ -446,16 +455,11 @@ class RationalField(FieldCtx):
     def format(self, a):
         return str(a)
 
-    def parse(self, s):
-        body = s[1:] if s[:1] == "-" else s
-        if "/" in body:
-            num, den = body.split("/", 1)
-            ok = num.isdigit() and den.isdigit() and int(den) > 0
-        else:
-            ok = body.isdigit()
-        if not ok:
-            raise UsageError(f"bad rational literal {s!r}")
-        return FieldElem(self, Fraction(s))
+    def _raw_of(self, s):
+        num, slash, den = s.partition("/")
+        if _is_digits(num.removeprefix("-")) and (_is_digits(den) and int(den) > 0 or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        return None
 
     def sort_key(self, a):
         return a
@@ -544,15 +548,7 @@ class FieldElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.ctx.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, self.ctx.one)
 
     def inverse(self) -> "FieldElem":
         return FieldElem(self.ctx, self.ctx._inv(self.raw))

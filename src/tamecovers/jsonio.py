@@ -93,16 +93,18 @@ def cover_from_json(doc) -> RatFunc:
     return RatFunc.make(*polys)
 
 
-def parse_cli_elem(p: int, s: str) -> FieldElem:
-    """Parse an element literal, inferring its field from the text form.
+def parse_cli_elem(p: int, s: str, into: FieldCtx | None = None) -> FieldElem:
+    """Parse an element literal, inferring its field from the text form,
+    and embed it into ``into`` when that is given.
 
     Over p = 0 the literal is rational; otherwise a bare integer is a
     prime-field element and a dense "...*t..." literal lives in the
     extension whose degree is its term count.
     """
     if p == 0:
-        return make_field(0).parse(s)
-    if "t" in s:
-        n = s.count("+") + 1
-        return make_field(p, n).parse(s)
-    return make_field(p).parse(s)
+        e = make_field(0).parse(s)
+    elif "t" in s:
+        e = make_field(p, s.count("+") + 1).parse(s)
+    else:
+        e = make_field(p).parse(s)
+    return e if into is None else e.lift_to(into)

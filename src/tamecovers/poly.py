@@ -49,6 +49,7 @@ from .field import (
     _pgcd,
     _pmonic,
     _pmul,
+    _power,
     _ppowmod,
     _psub,
     _trim,
@@ -151,15 +152,7 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise InvariantViolated(f"negative polynomial power {k}")
-        result = Poly.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, Poly.one(self.ctx))
 
     def __divmod__(self, other):
         o = self._coerce(other)
@@ -246,8 +239,8 @@ def synthetic_div(f: Poly, r: FieldElem) -> tuple[Poly, FieldElem]:
     return Poly(ctx, tuple(out)), FieldElem(ctx, rem)
 
 
-def linear_multiplicity(f: Poly, r: FieldElem) -> int:
-    """Multiplicity of r as a root of f (0 if not a root)."""
+def _strip_root(f: Poly, r: FieldElem) -> tuple[int, Poly]:
+    """(m, f / (y - r)^m) for the multiplicity m of r as a root of f."""
     m = 0
     while not f.is_zero:
         q, rem = synthetic_div(f, r)
@@ -255,7 +248,12 @@ def linear_multiplicity(f: Poly, r: FieldElem) -> int:
             break
         m += 1
         f = q
-    return m
+    return m, f
+
+
+def linear_multiplicity(f: Poly, r: FieldElem) -> int:
+    """Multiplicity of r as a root of f (0 if not a root)."""
+    return _strip_root(f, r)[0]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

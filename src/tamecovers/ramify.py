@@ -27,11 +27,11 @@ from .field import FieldElem
 from .poly import (
     INF,
     RatFunc,
+    _strip_root,
     evaluate,
     map_degree,
     ord_at,
     point_str,
-    synthetic_div,
 )
 
 
@@ -138,13 +138,7 @@ def analyze_cover(f: RatFunc, candidates) -> CoverAnalysis:
             continue
         seen.add(cand)
         x = ctx.elem(cand)
-        m = 0
-        while not residual.is_zero:
-            q, rem = synthetic_div(residual, x)
-            if not rem.is_zero:
-                break
-            residual = q
-            m += 1
+        m, residual = _strip_root(residual, x)
         if m:
             ram_points.append((x, ord_at(f, x, evaluate(f, x))))
     complete = residual.degree <= 0

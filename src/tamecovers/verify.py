@@ -19,6 +19,7 @@ from .poly import lift_ratfunc
 from .threepoint import ThreePointSpec, solve_three_point
 
 SUITES = ("paper-examples", "formulas", "roundtrip", "oracle")
+_BOUND = dict(zip(SUITES, ("p", "p_max", "p", "d_max")))  # the one bound each suite reads
 
 
 def supersingular_strs(L: multconst.LambdaMap, ext: int) -> list[str]:
@@ -26,15 +27,22 @@ def supersingular_strs(L: multconst.LambdaMap, ext: int) -> list[str]:
     return [jsonio.elem_str(s) for s in multconst.supersingular_values(L, ext)]
 
 
-def run_suite(suite: str, p: int | None = None, p_max: int = 13, d_max: int = 8) -> dict:
+def run_suite(suite: str, p: int | None = None, p_max: int | None = None,
+              d_max: int | None = None) -> dict:
     """Run one named suite; ``all_pass`` in the result is True exactly when
-    every check passed."""
+    every check passed.  A bound the suite does not read is a usage error."""
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
+    for name, value in (("p", p), ("p_max", p_max), ("d_max", d_max)):
+        if value is not None and name != _BOUND[suite]:
+            raise UsageError(f"the {suite} suite reads --{_BOUND[suite]}, not --{name}")
     if suite == "paper-examples":
         if p is not None and (p < 5 or not is_prime(p)):
             # the examples need the types (p; 2, 2, p-3) and (p; 3, 2, p-2)
             raise UsageError(f"--p must be a prime at least 5 for the paper-examples suite, got {p}")
         checks = _paper_examples(5 if p is None else p)
     elif suite == "formulas":
+        p_max = 13 if p_max is None else p_max
         if p_max < 5:
             # the suite checks the primes from 5 to --p_max
             raise UsageError(f"--p_max must be at least 5, got {p_max}")
@@ -45,13 +53,12 @@ def run_suite(suite: str, p: int | None = None, p_max: int = 13, d_max: int = 8)
             # and the suite builds F_p
             raise UsageError(f"--p must be at least 5 and prime for the roundtrip suite, got {p}")
         checks = _roundtrip([p] if p else [5, 7])
-    elif suite == "oracle":
+    else:
+        d_max = 8 if d_max is None else d_max
         if d_max < 3:
             # 3 is the least degree with a 4-point type
             raise UsageError(f"--d_max must be at least 3, got {d_max}")
         checks = _oracle(d_max)
-    else:
-        raise UsageError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
     passed = sum(1 for c in checks if c["pass"])
     return {
         "suite": suite,

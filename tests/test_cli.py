@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from tamecovers import multconst, symhurwitz
+from tamecovers import jsonio, multconst, symhurwitz
 from tamecovers.cli import build_parser, run
-from tamecovers.errors import DegreeTooLarge
+from tamecovers.errors import DegreeTooLarge, MixedContexts, UsageError
+from tamecovers.field import make_field
 from tamecovers.verify import run_suite
 
 
@@ -35,9 +36,15 @@ def test_hurwitz_char0_golden():
 
 
 def test_hurwitz_p_golden():
-    code, out, _ = invoke(["hurwitz-p", "--p", "5", "--cycles", "3,2,3", "--with-pminus1"])
+    code, out, _ = invoke(["hurwitz-p", "--p", "5", "--cycles", "3,2,3"])
     assert code == 0
     assert json.loads(out) == {"h_p": 3, "degree_check": 3, "supersingular": ["4"]}
+
+
+def test_hurwitz_p_has_no_with_pminus1_flag():
+    # three --cycles entries already mean (d; e1, e2, e3, p-1)
+    code, out, err = invoke(["hurwitz-p", "--p", "5", "--cycles", "3,2,3", "--with-pminus1"])
+    assert (code, out) == (1, "") and err.startswith("usage error:")
 
 
 def test_hurwitz_p_accepts_four_cycles():
@@ -142,6 +149,32 @@ def test_contract_rejects_malformed_ext_modulus(tmp_path, modulus):
     )
     assert code == 1 and out == ""
     assert "ext_modulus" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mu", ["²", "٣", "04"])
+def test_lift_mu_not_in_printed_form_is_a_usage_error(mu):
+    code, out, err = invoke(["lift", "--p", "7", "--cycles", "3,2,5", "--mu", mu])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_contract_cover_coefficient_not_in_printed_form_is_a_usage_error(tmp_path):
+    path = tmp_path / "c.json"
+    cover = {"char": 7, "num": ["0", "²"], "den": ["1"], "type": []}
+    path.write_text(json.dumps(cover), encoding="utf-8")
+    code, out, err = invoke(
+        ["contract", "--p", "7", "--cover", str(path), "--lambda", "2", "--mu", "4"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_cli_literal_is_embedded_into_the_target_field():
+    F49 = make_field(7, 2)
+    assert jsonio.parse_cli_elem(7, "1*t+2", into=F49) == F49.parse("1*t+2")
+    assert jsonio.parse_cli_elem(7, "3", into=F49) == F49.from_int(3)  # lifted from F_7
+    with pytest.raises(MixedContexts):  # F_{7^3} does not embed in F_49
+        jsonio.parse_cli_elem(7, "0*t^2+1*t+2", into=F49)
 
 
 CONTRACT = ["contract", "--p", "7", "--cover", "{tmp}/c.json", "--lambda", "2", "--mu", "4"]
@@ -347,6 +380,22 @@ def test_verify_oracle_passes_below_the_default_degree(d_max):
 def test_verify_bounds_that_check_nothing_are_usage_errors(argv, flag):
     code, out, err = invoke(argv)
     assert (code, out) == (1, "") and err.startswith(f"usage error: {flag} must be at least")
+
+
+FOREIGN_BOUNDS = [
+    ("paper-examples", "--p_max"), ("paper-examples", "--d_max"),
+    ("roundtrip", "--p_max"), ("roundtrip", "--d_max"),
+    ("formulas", "--p"), ("formulas", "--d_max"),
+    ("oracle", "--p"), ("oracle", "--p_max"),
+]
+
+
+@pytest.mark.parametrize("suite, flag", FOREIGN_BOUNDS, ids=[f"{s}{f}" for s, f in FOREIGN_BOUNDS])
+def test_verify_bound_the_suite_does_not_read_is_a_usage_error(suite, flag):
+    code, out, err = invoke(["verify", "--suite", suite, flag, "7"])
+    assert (code, out) == (1, "") and err.startswith("usage error:") and flag in err
+    with pytest.raises(UsageError):
+        run_suite(suite, **{flag[2:]: 7})
 
 
 @pytest.mark.parametrize("p", ["0", "3", "4", "6"])

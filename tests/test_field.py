@@ -138,7 +138,8 @@ def test_canonical_form_idempotent():
     a = F25.elem(F25.gen)
     assert a is F25.gen or a == F25.gen
     assert F5.from_int(12) == F5.from_int(7)
-    assert QQ.parse("4/6") == QQ.parse("2/3")
+    with pytest.raises(UsageError):
+        QQ.parse("4/6")
 
 
 def test_text_format_round_trip():
@@ -160,6 +161,62 @@ def test_parse_rejects_out_of_grammar():
         F25.parse("t+1")  # coefficient must be explicit
     with pytest.raises(UsageError):
         QQ.parse("2/-3")
+
+
+def _grammar_samples(ctx, rng, k=12):
+    if ctx.characteristic == 0:
+        return [ctx.from_int(rng.randint(-50, 50)) / ctx.from_int(rng.randint(1, 20))
+                for _ in range(k)]
+    return rng.sample(list(ctx.elements()), min(k, ctx.order))
+
+
+def _non_printed_variants(ctx, s):
+    """Spellings of the element printed as s that are not its printed form."""
+    n = getattr(ctx, "n", 1)
+    last = max(i for i, ch in enumerate(s) if ch in "0123456789")
+    out = [
+        s[:last] + "²" + s[last + 1:],  # non-ASCII digits
+        s[:last] + "٣" + s[last + 1:],
+        " " + s, s + " ", s + "\n",  # surrounding whitespace
+        s + "+0",  # an extra term
+        s + "/1",  # a non-reduced fraction
+    ]
+    body = s.removeprefix("-")
+    out.append(s[: len(s) - len(body)] + "0" + body)  # a leading zero on a coefficient
+    if n > 1:
+        head, rest = s.split("+", 1)
+        coef = head.split("*")[0]
+        out += [
+            rest,  # a missing term
+            f"{coef}*t^{n}+{rest}",  # the wrong power of t
+            s.replace("*t+", "*t^1+"),
+        ]
+    else:
+        out.append("")  # a missing term
+    if ctx.characteristic == 0:
+        num, _, den = s.partition("/")
+        out.append(f"{2 * int(num)}/{2 * int(den or 1)}")
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(7, 1), (5, 2), (3, 3), (2, 4), (0, 1)],
+                         ids=["F7", "F25", "F27", "F16", "Q"])
+def test_parse_accepts_exactly_the_printed_form(p, n):
+    ctx = make_field(p, n)
+    rng = random.Random(1000 * p + n)
+    for x in _grammar_samples(ctx, rng):
+        s = ctx.format(x.raw)
+        assert ctx.parse(s) == x
+        for bad in _non_printed_variants(ctx, s):
+            with pytest.raises(UsageError):  # and no other exception
+                ctx.parse(bad)
+
+
+def test_parse_of_an_overlong_digit_run_is_a_usage_error():
+    # int() refuses digit strings past its conversion limit with ValueError
+    for ctx, s in [(F7, "9" * 5000), (F25, "1*t+" + "9" * 5000), (QQ, "1/" + "9" * 5000)]:
+        with pytest.raises(UsageError):
+            ctx.parse(s)
 
 
 def test_lift_to_extension():

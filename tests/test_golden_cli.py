@@ -27,7 +27,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 CASES = {
     "hurwitz-char0": [["hurwitz-char0", "--d", "5", "--cycles", "3,2,3,4"]],
     "hurwitz-char0-bad-cycle": [["hurwitz-char0", "--d", "5", "--cycles", "3,2,3,9"]],
-    "hurwitz-p": [["hurwitz-p", "--p", "5", "--cycles", "3,2,3", "--with-pminus1"]],
+    "hurwitz-p": [["hurwitz-p", "--p", "5", "--cycles", "3,2,3"]],
     "hurwitz-p-sweep": [["hurwitz-p", "--sweep", "p=5..13", "--cycles", "3,2,3"]],
     "three-point-Q": [["three-point", "--p", "0", "--cycles", "3,2,2"]],
     "three-point-F5": [["three-point", "--p", "5", "--cycles", "3,3,3"]],
