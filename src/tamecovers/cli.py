@@ -17,7 +17,7 @@ import sys
 
 from . import addconst, jsonio, multconst, symhurwitz, verify
 from .errors import DomainError, UsageError
-from .field import is_prime, make_field
+from .field import _is_digits, is_prime, make_field
 from .poly import DEFAULT_EXT
 from .threepoint import ThreePointSpec, solve_three_point
 
@@ -27,14 +27,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(flag: str):
+    """The type of flag's integer tokens: each is read only in its printed
+    form str(k), so ASCII digits with no sign, leading zero or whitespace."""
+
+    def parse(s: str) -> int:
+        try:
+            if _is_digits(s) and str(k := int(s)) == s:
+                return k
+        except ValueError:  # a digit run too long for int()
+            pass
+        raise UsageError(f"bad {flag} {s!r}: expected an integer in its printed form, such as '7'")
+
+    return parse
+
+
 def _cycles(arity: int | None = None):
     """The --cycles type: comma-separated ints, exactly `arity` of them if given."""
 
     def parse(s: str) -> tuple[int, ...]:
-        try:
-            cycles = tuple(int(x) for x in s.split(","))
-        except ValueError:
-            raise UsageError(f"bad --cycles value {s!r}")
+        cycles = tuple(map(_int("--cycles entry"), s.split(",")))
         if arity is not None and len(cycles) != arity:
             raise UsageError(f"--cycles must have exactly {arity} entries, got {s!r}")
         return cycles
@@ -44,7 +56,7 @@ def _cycles(arity: int | None = None):
 
 def _ext(s: str) -> int:
     """The --ext type: a bound on extension degrees, at least 1."""
-    k = int(s)
+    k = _int("--ext")(s)
     if k < 1:
         raise UsageError(f"--ext must be at least 1, got {k}")
     return k
@@ -65,7 +77,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--ext", type=_ext, default=DEFAULT_EXT,
                             help="maximum extension degree searched for roots")
         if sweep:
-            sp.add_argument("--p", type=int)
+            sp.add_argument("--p", type=_int("--p"))
             sp.add_argument("--sweep", help="range syntax p=5..13")
             body = functools.partial(_run_sweepable, body)
         sp.set_defaults(body=body)
@@ -73,7 +85,7 @@ def build_parser() -> _Parser:
 
     sp = add("hurwitz-char0", _cmd_hurwitz_char0,
              "characteristic-zero count: characters in genus 0, tuple enumeration otherwise")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_int("--d"), required=True)
     sp.add_argument("--cycles", type=_cycles(), required=True)
 
     sp = add("hurwitz-p", _cmd_hurwitz_p, "p-Hurwitz number of (d; e1,e2,e3,p-1), with checks",
@@ -81,7 +93,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--cycles", type=_cycles(), required=True, help="e1,e2,e3 or e1,e2,e3,p-1")
 
     sp = add("three-point", _cmd_three_point, "the unique normalized 3-point cover")
-    sp.add_argument("--p", type=int, required=True, help="prime, or 0 for Q")
+    sp.add_argument("--p", type=_int("--p"), required=True, help="prime, or 0 for Q")
     sp.add_argument("--cycles", type=_cycles(3), required=True)
 
     sp = add("lambda-map", _cmd_lambda_map, "the fourth-branch-point map of a 4-point type",
@@ -89,18 +101,18 @@ def build_parser() -> _Parser:
     sp.add_argument("--cycles", type=_cycles(3), required=True)
 
     sp = add("lift", _cmd_lift, "extend the 3-point cover of a type through mu")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int("--p"), required=True)
     sp.add_argument("--cycles", type=_cycles(3), required=True)
     sp.add_argument("--mu", required=True)
 
     sp = add("contract", _cmd_contract, "collapse the index-(p-1) point of a cover file")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int("--p"), required=True)
     sp.add_argument("--cover", required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
     sp.add_argument("--mu", required=True)
 
     sp = add("fiber-count", _cmd_fiber_count, "count covers over one lambda value", ext=True)
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int("--p"), required=True)
     sp.add_argument("--cycles", type=_cycles(3), required=True)
     sp.add_argument("--lambda", dest="lam", required=True)
 
@@ -112,15 +124,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--cycles", type=_cycles(2), required=True, help="e3,e4")
 
     sp = add("additive-twist", _cmd_additive_twist, "split a merged family with f + c*x^p")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=_int("--p"), required=True)
     sp.add_argument("--cycles", type=_cycles(2), required=True, help="e3,e4")
     sp.add_argument("--c", required=True)
 
     sp = add("verify", _cmd_verify, "run a verification suite")
     sp.add_argument("--suite", required=True, choices=verify.SUITES)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--p_max", type=int)
-    sp.add_argument("--d_max", type=int)
+    sp.add_argument("--p", type=_int("--p"))
+    sp.add_argument("--p_max", type=_int("--p_max"))
+    sp.add_argument("--d_max", type=_int("--d_max"))
 
     return parser
 
@@ -288,10 +300,7 @@ def _parse_sweep(spec: str) -> list[int]:
     if not spec.startswith("p=") or ".." not in spec:
         raise UsageError(f"bad --sweep value {spec!r}, expected p=5..13")
     lo, hi = spec[2:].split("..", 1)
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"bad --sweep bounds in {spec!r}")
+    lo, hi = map(_int("--sweep bound"), (lo, hi))
     primes = [p for p in range(lo, hi + 1) if is_prime(p)]
     if not primes:
         raise UsageError(f"--sweep {spec!r} holds no prime")

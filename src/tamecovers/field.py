@@ -25,9 +25,9 @@ its p-th root and the search for its modulus.
 An extension F_{p^n} is F_p[t] modulo a fixed monic irreducible
 polynomial: the first irreducible hit when the non-leading coefficients
 (c_{n-1}, ..., c_1, c_0) run in ascending lexicographic order, constant
-term fastest.  ``make_field`` is cached, so identical specs share one
-context object and therefore one modulus; this is what makes every
-serialized element reproducible across runs.
+term fastest.  ``make_field`` searches that modulus and is cached, so
+identical specs share one context object and therefore one modulus; this
+is what makes every serialized element reproducible across runs.
 
 The text form of an element is exact and self-describing: "3" for a
 prime-field or small rational value, "-2/3" for a fraction, and the dense
@@ -36,7 +36,8 @@ extension degree can be read off the string itself.  ``format`` is the one
 grammar: ``parse`` accepts a string exactly when ``format`` prints it back
 unchanged, so "04", "4/6", "-0", "1*t+02", a non-ASCII digit or stray
 whitespace is a UsageError.  Each context reads only a candidate raw value
-from the ASCII digit tokens of the text (``_raw_of``).
+from the ASCII digit tokens of the text (``_raw_of``).  The form of F_{p^n}
+needs only p and n, so ``ExtField(p, n)`` reads text without the modulus.
 """
 
 from __future__ import annotations
@@ -323,24 +324,21 @@ class ExtField(FieldCtx):
     the table of their residues modulo the modulus (n - 1 rows of n ints,
     computed once with the kernel), and reduced mod p once at the end.
     Inverse and p-th root run the kernel over ``prime``.
+
+    ``ExtField(p, n)`` holds only what the text form needs; ``make_field``
+    then sets ``modulus`` and ``_fold``, which the arithmetic reads.
     """
 
     kind = "extension"
 
-    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
+    def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.modulus = modulus  # ascending, length n+1, monic
         self.characteristic = p
         self.order = p ** n
         self.prime = make_field(p)  # the kernel runs over F_p
         self._zero = (0,) * n
         self._one = (1,) + self._zero[1:]
-        # row i is t^(n+i) mod modulus, for i = 0 .. n-2
-        self._fold = tuple(
-            self._pad(_pdivmod(self.prime, [0] * (n + i) + [1], modulus)[1])
-            for i in range(n - 1)
-        )
 
     def __repr__(self):
         return f"F_{self.p}^{self.n}"
@@ -486,7 +484,12 @@ def _field(p: int, ext_degree: int) -> FieldCtx:
         raise UsageError(f"extension degree must be >= 1, got {ext_degree}")
     if ext_degree == 1:
         return PrimeField(p)
-    return ExtField(p, ext_degree, _smallest_modulus(p, ext_degree))
+    ctx = ExtField(p, ext_degree)
+    ctx.modulus = _smallest_modulus(p, ext_degree)  # ascending, length n+1, monic
+    # row i is t^(n+i) mod modulus, for i = 0 .. n-2
+    ctx._fold = tuple(ctx._pad(_pdivmod(ctx.prime, [0] * (ext_degree + i) + [1], ctx.modulus)[1])
+                      for i in range(ext_degree - 1))
+    return ctx
 
 
 def _embedding(src: FieldCtx, ext: FieldCtx):

@@ -99,12 +99,13 @@ def parse_cli_elem(p: int, s: str, into: FieldCtx | None = None) -> FieldElem:
 
     Over p = 0 the literal is rational; otherwise a bare integer is a
     prime-field element and a dense "...*t..." literal lives in the
-    extension whose degree is its term count.
+    extension whose degree is its term count.  The form is checked first:
+    it needs only p and n, so a malformed literal costs no modulus search.
     """
-    if p == 0:
-        e = make_field(0).parse(s)
-    elif "t" in s:
-        e = make_field(p, s.count("+") + 1).parse(s)
+    if p and "t" in s:
+        n = s.count("+") + 1
+        ExtField(p, n).parse(s)
+        e = make_field(p, n).parse(s)
     else:
         e = make_field(p).parse(s)
     return e if into is None else e.lift_to(into)

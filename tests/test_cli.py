@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tamecovers import jsonio, multconst, symhurwitz
+from tamecovers import field, jsonio, multconst, symhurwitz
 from tamecovers.cli import build_parser, run
 from tamecovers.errors import DegreeTooLarge, MixedContexts, UsageError
 from tamecovers.field import make_field
@@ -169,6 +169,34 @@ def test_contract_cover_coefficient_not_in_printed_form_is_a_usage_error(tmp_pat
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+def _45_terms(low: str) -> str:
+    """A 45-term extension literal over F_7 whose two lowest terms are low."""
+    return "+".join(f"0*t^{k}" for k in range(44, 1, -1)) + "+" + low
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fiber-count", "--p", "7", "--cycles", "3,2,5", "--lambda", _45_terms("0*t^1+0")],
+        ["lift", "--p", "7", "--cycles", "3,2,5", "--mu", _45_terms("0*t+00")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_extension_literal_costs_no_modulus_search(monkeypatch, argv):
+    # the printed form of F_{7^45} needs only p and n, so it is checked
+    # before make_field searches the degree-45 modulus
+    search = field._smallest_modulus
+
+    def no_search(p, n):
+        if n == 45:
+            raise AssertionError("modulus search for a malformed literal")
+        return search(p, n)
+
+    monkeypatch.setattr(field, "_smallest_modulus", no_search)
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: bad element literal")
+
+
 def test_cli_literal_is_embedded_into_the_target_field():
     F49 = make_field(7, 2)
     assert jsonio.parse_cli_elem(7, "1*t+2", into=F49) == F49.parse("1*t+2")
@@ -233,6 +261,60 @@ def test_ext_below_one_is_a_usage_error(argv, ext):
 def test_cycles_of_the_wrong_length_are_a_usage_error(argv):
     code, out, err = invoke(argv)
     assert (code, out) == (1, "") and "--cycles" in err
+
+
+COVER = "{tmp}/c.json"
+INTEGER_OPTIONS = [
+    (["hurwitz-char0", "--d", "{}", "--cycles", "3,2,2"], "--d"),
+    (["hurwitz-char0", "--d", "3", "--cycles", "3,{},2"], "--cycles"),
+    (["hurwitz-p", "--p", "{}", "--cycles", "3,2,3"], "--p"),
+    (["hurwitz-p", "--p", "5", "--cycles", "3,2,3", "--ext", "{}"], "--ext"),
+    (["lambda-map", "--p", "{}", "--cycles", "3,2,3"], "--p"),
+    (["lambda-map", "--p", "5", "--cycles", "3,2,3", "--ext", "{}"], "--ext"),
+    (["bad-degree", "--p", "{}", "--cycles", "2,3,3"], "--p"),
+    (["bad-degree", "--sweep", "p={}..7", "--cycles", "2,3,3"], "--sweep"),
+    (["bad-degree", "--sweep", "p=5..{}", "--cycles", "2,3,3"], "--sweep"),
+    (["additive-family", "--p", "{}", "--cycles", "3,2"], "--p"),
+    (["three-point", "--p", "{}", "--cycles", "3,2,2"], "--p"),
+    (["lift", "--p", "{}", "--cycles", "3,2,5", "--mu", "4"], "--p"),
+    (["contract", "--p", "{}", "--cover", COVER, "--lambda", "2", "--mu", "4"], "--p"),
+    (["fiber-count", "--p", "{}", "--cycles", "3,2,5", "--lambda", "2"], "--p"),
+    (["fiber-count", "--p", "7", "--cycles", "3,2,5", "--lambda", "2", "--ext", "{}"], "--ext"),
+    (["additive-twist", "--p", "{}", "--cycles", "3,2", "--c", "1"], "--p"),
+    (["verify", "--suite", "roundtrip", "--p", "{}"], "--p"),
+    (["verify", "--suite", "formulas", "--p_max", "{}"], "--p_max"),
+    (["verify", "--suite", "oracle", "--d_max", "{}"], "--d_max"),
+]
+
+
+@pytest.mark.parametrize("token", ["٧", "²", " 7", "7 ", "+7", "07", "1_3", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag", INTEGER_OPTIONS,
+    ids=[f"{argv[0]}{flag}-{argv.index(next(a for a in argv if '{}' in a))}"
+         for argv, flag in INTEGER_OPTIONS],
+)
+def test_integer_token_not_in_printed_form_is_a_usage_error(tmp_path, argv, flag, token):
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{}", token) for a in argv]
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "") and err.startswith("usage error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["three-point", "--p", "٧", "--cycles", "٣,2,2"],
+        ["hurwitz-char0", "--d", "5", "--cycles", " 3,2,3,+4"],
+        ["hurwitz-char0", "--d", "05", "--cycles", "3,2,3,4"],
+        ["hurwitz-p", "--p", "1_3", "--cycles", "3,2,3"],
+        ["bad-degree", "--sweep", "p=+5..0_7", "--cycles", "2,3,3"],
+        ["verify", "--suite", "roundtrip", "--p", " 5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_integers_that_int_reads_are_usage_errors(argv):
+    # int() accepts each of these tokens; the printed-form reader does not
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "") and err.startswith("usage error: bad --")
 
 
 def test_one_parser_serves_every_call():

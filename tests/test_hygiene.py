@@ -12,6 +12,10 @@
   defined in ``errors.py`` or a parameter of an enclosing function (as
   ``expect_cover``'s ``exc``), or is a bare re-raise, so every failure
   carries a stable code.
+- No ``type=int`` in a call: argparse would read the option with
+  ``int()``, which accepts whitespace, a sign, ``_`` and non-ASCII digits;
+  every integer option goes through ``cli._int``, which accepts only the
+  printed form.
 
 Each check returns one line per violation, naming file, line and name;
 each has a test that plants a violation in a copy of the package.
@@ -103,6 +107,15 @@ def foreign_raises(pkg: Path) -> list[str]:
     return bad
 
 
+def int_typed_calls(pkg: Path) -> list[str]:
+    return [f"{path.relative_to(pkg)}:{node.lineno}: type=int reads with int(), not cli._int"
+            for path in _modules(pkg)
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and any(k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
+                    for k in node.keywords)]
+
+
 def _planted(tmp_path: Path, module: str, source: str) -> tuple[Path, int]:
     """A copy of the package with source appended to module, and the line
     number of its first line."""
@@ -163,4 +176,18 @@ def test_raise_outside_the_error_taxonomy_is_named(tmp_path):
     pkg, line = _planted(tmp_path, "symhurwitz.py", source)
     assert foreign_raises(pkg) == [
         f"symhurwitz.py:{line + 5}: raise ValueError is not a class of errors.py",
+    ]
+
+
+def test_no_int_typed_calls():
+    assert int_typed_calls(PACKAGE) == []
+
+
+def test_int_typed_call_is_named(tmp_path):
+    source = ("def declare(parser):\n"
+              "    parser.add_argument('--n', type=int)\n"
+              "    parser.add_argument('--m', type=str)\n")
+    pkg, line = _planted(tmp_path, "symhurwitz.py", source)
+    assert int_typed_calls(pkg) == [
+        f"symhurwitz.py:{line + 1}: type=int reads with int(), not cli._int",
     ]
