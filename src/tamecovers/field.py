@@ -56,18 +56,32 @@ from .errors import (
 )
 
 
+# Miller-Rabin with the prime bases 2..37 decides primality exactly below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017), which exceeds 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a UsageError at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise UsageError(f"{n} is too large: primality is decided only below {_MR_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a passes when x reaches -1 within s squarings
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 
@@ -229,7 +243,8 @@ class FieldCtx:
     ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_pth_root``,
     ``from_int``, ``format``, ``_raw_of`` and ``sort_key``.  ``_raw_of(s)``
     returns the in-range raw value read from the ASCII digit tokens of s, or
-    None; ``parse`` accepts s only when ``format`` of that value is s.
+    None; ``parse`` accepts s only when ``format`` of that value is s.  The
+    hot loops ``_row_update`` and ``_horner`` run on plain ints in PrimeField.
     """
 
     kind = ""
@@ -265,6 +280,20 @@ class FieldCtx:
     def elements(self):
         """All field elements in canonical order (finite fields only)."""
         raise CharZero("cannot enumerate an infinite field")
+
+    def _row_update(self, row: list, factor, support) -> None:
+        """row[j] -= factor * v over support, the kernel solve's inner loop."""
+        mul, sub = self._mul, self._sub
+        for j, v in support:
+            row[j] = sub(row[j], mul(factor, v))
+
+    def _horner(self, coeffs, r) -> list:
+        """Horner values of the ascending raw coeffs at r (the last is f(r))."""
+        add, mul, acc, out = self._add, self._mul, self._zero, []
+        for c in reversed(coeffs):
+            acc = add(mul(acc, r), c)
+            out.append(acc)
+        return out
 
 
 class PrimeField(FieldCtx):
@@ -314,6 +343,18 @@ class PrimeField(FieldCtx):
     def elements(self):
         for v in range(self.p):
             yield FieldElem(self, v)
+
+    def _row_update(self, row, factor, support):
+        p = self.p
+        for j, v in support:
+            row[j] = (row[j] - factor * v) % p
+
+    def _horner(self, coeffs, r):
+        p, acc, out = self.p, 0, []
+        for c in reversed(coeffs):
+            acc = (acc * r + c) % p
+            out.append(acc)
+        return out
 
 
 class ExtField(FieldCtx):

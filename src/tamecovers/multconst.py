@@ -12,12 +12,27 @@ constructions:
 
 Sending mu to lambda is a single rational map; its degree is the generic
 number of 4-point covers per branch locus (the p-Hurwitz number), with the
-closed form (3p - 1 - E)/2, E = e1+e2+e3.  ``lambda_map`` builds the map
-and refuses to return anything whose computed degree disagrees with the
-closed form.  The finitely many lambda values where the fiber count drops
-(the supersingular locus) are the images r^p of the poles r of h; since h
-has F_p coefficients, Frobenius permutes its poles, so the locus is the
-zero set of h.den.  ``is_supersingular_value`` tests a value against it
+closed form h_p = (3p - 1 - E)/2, E = e1+e2+e3.  The map is the normalized
+3-point cover of the dual type (h_p; E1, E2, E3), E_i = p - e_i,
+since dlambda/dmu = u(1 - u) h'/(u - h)^2, u = mu^p, vanishes only over
+0, 1, inf.  With da = h_p-E1, db = h_p-E3, dc = h_p-E2 it is y^E1 A'/B', where
+
+    x^da A'(1/x) = 2F1(-da, -E2-dc; -da-dc; x),
+    B'           = 2F1(-db, -E2-dc; -db-dc; y),
+
+with B' monic and A'(1) = B'(1).  The recurrence of each terminating
+2F1(a, b; c; .) divides by (c+k)(k+1), a nonzero integer of absolute value
+below p, as da+dc = E3-1 and db+dc = E1-1 are at most p-2: a unit mod p.
+``lambda_map`` builds this (N, D) = (y^E1 A', B') and certifies it against
+h by three clauses, a FormulaMismatch naming the one that fails:
+N (y^p h.den - h.num) = D y^p (h.den - h.num), gcd(N, D) = 1 and
+deg lambda = h_p.  With D monic they make (N, D) the reduced pair of
+y^p (1 - h)/(y^p - h).
+
+The finitely many lambda values where the fiber count drops (the
+supersingular locus) are the images r^p of the poles r of h; since h has
+F_p coefficients, Frobenius permutes its poles, so the locus is the zero
+set of h.den.  ``is_supersingular_value`` tests a value against it
 exactly, with no search bound, and ``supersingular_values`` names the
 points of the locus up to a bound on their field degree, for the commands
 that print them.
@@ -139,8 +154,35 @@ class LambdaMap:
     degree: int
 
 
+def _hyp2f1(p: int, n: int, b: int, c: int) -> list[int]:
+    """Ascending coefficients mod p of the terminating 2F1(-n, b; c; x)."""
+    out = [1]
+    for k in range(n):
+        den = (c + k) * (k + 1) % p
+        if den == 0:
+            raise FormulaMismatch(f"2F1({-n}, {b}; {c}) divides by ({c + k})({k + 1}) = 0 mod {p}")
+        out.append(out[-1] * (k - n) * (b + k) * pow(den, -1, p) % p)
+    return out
+
+
+def _dual_lambda(t: FourPointType) -> tuple[list[int], list[int]]:
+    """(N, D) of lambda = y^E1 A'/B' from the 2F1 forms of the dual type."""
+    p = t.p
+    E1, E2, E3 = p - t.e1, p - t.e2, p - t.e3
+    hp = (3 * p - 1 - t.E) // 2
+    da, db, dc = hp - E1, hp - E3, hp - E2
+    a = _hyp2f1(p, da, -E2 - dc, -da - dc)[::-1]  # A'(y) = y^da * 2F1(1/y), up to scale
+    b = _hyp2f1(p, db, -E2 - dc, -db - dc)
+    if b[-1] == 0 or sum(a) % p == 0:
+        raise FormulaMismatch(f"dual closed form for {t}: lc(B') = {b[-1]}, A'(1) = {sum(a) % p}")
+    inv = pow(b[-1], -1, p)
+    b = [v * inv % p for v in b]  # B' monic
+    scale = sum(b) * pow(sum(a), -1, p) % p  # A'(1) = B'(1)
+    return [0] * E1 + [v * scale % p for v in a], b
+
+
 def lambda_map(ctx: FieldCtx, t: FourPointType) -> LambdaMap:
-    """Build mu -> mu^p (1 - h(mu)) / (mu^p - h(mu)) and check its degree."""
+    """mu -> mu^p (1 - h(mu)) / (mu^p - h(mu)) in closed form, certified against h."""
     if not isinstance(ctx, PrimeField) or ctx.p != t.p:
         raise MixedContexts(f"lambda_map needs the prime field F_{t.p}, got {ctx}")
     witness = t.phpos_witness()
@@ -148,14 +190,18 @@ def lambda_map(ctx: FieldCtx, t: FourPointType) -> LambdaMap:
         raise NoCovers(witness)
     h = solve_three_point(ctx, t.tilde_spec)
     p = t.p
+    num, den = (Poly.from_ints(ctx, c) for c in _dual_lambda(t))
     ypow = Poly.from_ints(ctx, [0] * p + [1])
-    num = ypow * (h.cover.den - h.cover.num)
-    den = ypow * h.cover.den - h.cover.num
-    lam = RatFunc.make(num, den)
+    hn, hd = h.cover.num, h.cover.den
+    if (ypow * hd - hn) * num != (ypow * (hd - hn)) * den:
+        raise FormulaMismatch(f"identity clause: closed form is not y^p (1 - h)/(y^p - h) for {t}")
+    if poly_gcd(num, den).degree != 0:
+        raise FormulaMismatch(f"gcd clause: closed form is not reduced for {t}")
+    lam = RatFunc(num, den)
     deg = map_degree(lam)
     expected = (3 * p - 1 - t.E) // 2
     if deg != expected:
-        raise FormulaMismatch(f"deg(lambda) = {deg} but (3p-1-E)/2 = {expected} for type {t}")
+        raise FormulaMismatch(f"degree clause: deg(lambda) = {deg} but (3p-1-E)/2 = {expected} for {t}")
     return LambdaMap(p=p, four_type=t, base=h, map=lam, degree=deg)
 
 

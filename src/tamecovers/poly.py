@@ -227,14 +227,8 @@ def poly_str(f: Poly) -> str:
 def synthetic_div(f: Poly, r: FieldElem) -> tuple[Poly, FieldElem]:
     """Divide f by (y - r): returns (quotient, remainder value)."""
     ctx = f.ctx
-    r = ctx.elem(r).raw
-    add, mul = ctx._add, ctx._mul
-    acc = ctx._zero
-    out = []
-    for c in reversed(f.raw):
-        acc = add(mul(acc, r), c)
-        out.append(acc)
-    rem = out.pop() if out else acc
+    out = ctx._horner(f.raw, ctx.elem(r).raw)
+    rem = out.pop() if out else ctx._zero
     out.reverse()  # its last entry is lc(f), so it needs no trimming
     return Poly(ctx, tuple(out)), FieldElem(ctx, rem)
 

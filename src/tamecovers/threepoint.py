@@ -65,7 +65,7 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
         return []
     ncols = len(rows[0])
     zero, one = ctx._zero, ctx._one
-    mul, sub = ctx._mul, ctx._sub
+    mul = ctx._mul
     m = [list(r) for r in rows]
     pivots = []  # (row, col)
     r = 0
@@ -82,8 +82,7 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
         for i, row in enumerate(m):
             factor = row[c]
             if i != r and factor != zero:
-                for j, v in support:
-                    row[j] = sub(row[j], mul(factor, v))
+                ctx._row_update(row, factor, support)
         pivots.append((r, c))
         r += 1
         if r == len(m):

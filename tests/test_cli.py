@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,6 +68,15 @@ def test_three_point_over_prime_field():
     assert doc["char"] == 7
     assert doc["num"] == ["0", "0", "0", "5"]
     assert doc["den"] == ["4", "1"]
+
+
+def test_three_point_over_a_large_prime_is_prompt():
+    start = time.perf_counter()
+    doc = invoke_json(["three-point", "--p", "1000000000000000003", "--cycles", "3,2,2"])
+    assert time.perf_counter() - start < 1.0
+    assert doc["char"] == 1000000000000000003
+    code, out, err = invoke(["three-point", "--p", "318665857834031151167461", "--cycles", "3,2,2"])
+    assert (code, out) == (1, "") and "318665857834031151167461" in err
 
 
 def test_lambda_map_output():

@@ -1,4 +1,5 @@
 import random
+from itertools import takewhile
 
 import pytest
 
@@ -9,7 +10,7 @@ from tamecovers.errors import (
     NotPrime,
     UsageError,
 )
-from tamecovers.field import _pdivmod, _pmul, make_field
+from tamecovers.field import _pdivmod, _pmul, is_prime, make_field
 from tamecovers.poly import Poly
 
 F5 = make_field(5)
@@ -262,3 +263,24 @@ def test_ints_are_not_elements():
         F5.elem(1)
     assert F5.one != 1
     assert F5.one + F5.from_int(1) == F5.parse("2")
+
+
+def test_is_prime_agrees_with_trial_division():
+    small = []
+    for n in range(100_000):
+        prime = n >= 2 and all(n % q for q in takewhile(lambda q: q * q <= n, small))
+        if prime:
+            small.append(n)
+        assert is_prime(n) == prime, n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a strong pseudoprime to every prime base up to 23
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and is_prime(1000000000000000003)
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # a strong pseudoprime to every prime base up to 37: the bound itself
+    with pytest.raises(UsageError, match="318665857834031151167461"):
+        is_prime(318665857834031151167461)
