@@ -70,19 +70,6 @@ class TwistResult:
     c: FieldElem
 
 
-def _verify_merged(f: RatFunc, p: int, e, rho: FieldElem) -> RamType:
-    e1, e2, e3, e4 = e
-    d = (sum(e) - 2) // 2
-    zero, one = f.ctx.zero, f.ctx.one
-    return expect_cover(
-        f, TypeDegenerates, f"map of merged type ({d}; {e1},{e2},{e3}-{e4})",
-        points=((INF, e1), (zero, e2), (one, e3), (rho, e4)),
-        images=((INF, INF), (zero, zero), (one, one), (rho, one)),
-        branch=3,
-        degree=d,
-    )
-
-
 def make_merged_cover(f: RatFunc, p: int, e, rho: FieldElem) -> MergedCover:
     e = tuple(int(x) for x in e)
     e1, e2, e3, e4 = e
@@ -91,7 +78,14 @@ def make_merged_cover(f: RatFunc, p: int, e, rho: FieldElem) -> MergedCover:
         raise InvalidType(f"merged type needs even index sum and e1 > p prime to p, got {e}")
     if not all(1 < x < p for x in (e2, e3, e4)) or e3 + e4 > d:
         raise InvalidType(f"merged type constraints fail for {e} at p = {p}")
-    ram_type = _verify_merged(f, p, e, rho)
+    zero, one = f.ctx.zero, f.ctx.one
+    ram_type = expect_cover(
+        f, TypeDegenerates, f"map of merged type ({d}; {e1},{e2},{e3}-{e4})",
+        points=((INF, e1), (zero, e2), (one, e3), (rho, e4)),
+        images=((INF, INF), (zero, zero), (one, one), (rho, one)),
+        branch=3,
+        degree=d,
+    )
     return MergedCover(f=f, p=p, e=e, rho=rho, ram_type=ram_type)
 
 

@@ -152,7 +152,7 @@ def _cmd_hurwitz_p(args, p: int) -> dict:
     if args.cycles[3:] not in ((), (p - 1,)):
         raise UsageError(f"fourth index must be p-1 = {p - 1}")
     t = multconst.FourPointType(p, *args.cycles[:3])
-    h_p = multconst.p_hurwitz_4pt(p, t)
+    h_p = multconst.p_hurwitz_4pt(t)
     if h_p == 0:
         return {"h_p": 0, "degree_check": None, "supersingular": []}
     L = multconst.lambda_map(make_field(p), t)

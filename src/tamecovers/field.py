@@ -16,11 +16,11 @@ arithmetic with an int raises TypeError, and an int never equals an
 element.  An int enters only through ``ctx.from_int`` or ``ctx.parse``; the
 only conversion between fields is ``lift_to``, from F_p into an extension.
 
-The private ``_p*`` functions are the polynomial kernel: add, sub, mul,
-divmod, monic, gcd, pow-mod and inverse-mod on ascending sequences of raw
-values, generic over the context.  ``poly.Poly`` runs it over its
-coefficient field, and an extension runs it over F_p for its inverse,
-its p-th root and the search for its modulus.
+The private ``_p*`` functions are the polynomial kernel: add and sub (one
+``_pzip``), mul, divmod, monic, gcd, pow-mod and inverse-mod on ascending
+sequences of raw values, generic over the context.  ``poly.Poly`` runs it
+over its coefficient field, and an extension runs it over F_p for its
+inverse, its p-th root and the search for its modulus.
 
 An extension F_{p^n} is F_p[t] modulo a fixed monic irreducible
 polynomial: the first irreducible hit when the non-leading coefficients
@@ -118,19 +118,11 @@ def _trim(ctx: "FieldCtx", c: list) -> list:
     return c
 
 
-def _padd(ctx, a, b) -> list:
+def _pzip(ctx, a, b, op) -> list:
+    """a op b coefficientwise, for op the context's ``_add`` or ``_sub``."""
     out = list(a) + [ctx._zero] * (len(b) - len(a))
-    add = ctx._add
     for i, c in enumerate(b):
-        out[i] = add(out[i], c)
-    return _trim(ctx, out)
-
-
-def _psub(ctx, a, b) -> list:
-    out = list(a) + [ctx._zero] * (len(b) - len(a))
-    sub = ctx._sub
-    for i, c in enumerate(b):
-        out[i] = sub(out[i], c)
+        out[i] = op(out[i], c)
     return _trim(ctx, out)
 
 
@@ -200,7 +192,7 @@ def _pinvmod(ctx, a, mod) -> list:
     while r1:
         q, r = _pdivmod(ctx, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _psub(ctx, s0, _pmul(ctx, q, s1))
+        s0, s1 = s1, _pzip(ctx, s0, _pmul(ctx, q, s1), ctx._sub)
     if len(r0) != 1:
         raise InvariantViolated("element shares a factor with the irreducible modulus")
     inv, mul = ctx._inv(r0[0]), ctx._mul
@@ -217,7 +209,7 @@ def _is_irreducible(F: "PrimeField", f: list[int]) -> bool:
     x = [0, 1]
     for r in {q for q in range(2, n + 1) if n % q == 0 and is_prime(q)}:
         xq = _ppowmod(F, x, p ** (n // r), f)
-        if len(_pgcd(F, _psub(F, xq, x), f)) != 1:
+        if len(_pgcd(F, _pzip(F, xq, x, F._sub), f)) != 1:
             return False
     return _ppowmod(F, x, p ** n, f) == x
 

@@ -32,11 +32,8 @@ def _cleared_int_strs(rf: RatFunc) -> tuple[list[str], list[str]]:
     """Integer-coefficient scaling of a rational function over Q."""
     ints = clear_denominators(rf.num.raw + rf.den.raw)
     nn = len(rf.num.raw)
-    num, den = ints[:nn], ints[nn:]
-    if den and den[-1] < 0:
-        num = [-v for v in num]
-        den = [-v for v in den]
-    return [str(v) for v in num], [str(v) for v in den]
+    # den is monic and scaled by a positive lcm over a positive gcd, so lc(den) > 0
+    return [str(v) for v in ints[:nn]], [str(v) for v in ints[nn:]]
 
 
 def ratfunc_strs(rf: RatFunc) -> tuple[list[str], list[str]]:

@@ -11,11 +11,13 @@ constructions:
 * ``contract`` inverts it, dividing (y - mu)^p by f - lambda.
 
 Sending mu to lambda is a single rational map; its degree is the generic
-number of 4-point covers per branch locus (the p-Hurwitz number), with the
-closed form h_p = (3p - 1 - E)/2, E = e1+e2+e3.  The map is the normalized
-3-point cover of the dual type (h_p; E1, E2, E3), E_i = p - e_i,
-since dlambda/dmu = u(1 - u) h'/(u - h)^2, u = mu^p, vanishes only over
-0, 1, inf.  With da = h_p-E1, db = h_p-E3, dc = h_p-E2 it is y^E1 A'/B', where
+number of 4-point covers per branch locus (the p-Hurwitz number h_p).  The
+map is the normalized 3-point cover of the dual type (h_p; E1, E2, E3),
+E_i = p - e_i, since dlambda/dmu = u(1 - u) h'/(u - h)^2, u = mu^p,
+vanishes only over 0, 1, inf.  A genus-0 three-point type has
+E1 + E2 + E3 = 2 h_p + 1, so h_p = (3p - 1 - E)/2 with E = e1+e2+e3;
+``p_hurwitz_4pt`` is the one home of this count.  With da = h_p-E1,
+db = h_p-E3, dc = h_p-E2 the map is y^E1 A'/B', where
 
     x^da A'(1/x) = 2F1(-da, -E2-dc; -da-dc; x),
     B'           = 2F1(-db, -E2-dc; -db-dc; y),
@@ -26,8 +28,8 @@ below p, as da+dc = E3-1 and db+dc = E1-1 are at most p-2: a unit mod p.
 ``lambda_map`` builds this (N, D) = (y^E1 A', B') and certifies it against
 h by three clauses, a FormulaMismatch naming the one that fails:
 N (y^p h.den - h.num) = D y^p (h.den - h.num), gcd(N, D) = 1 and
-deg lambda = h_p.  With D monic they make (N, D) the reduced pair of
-y^p (1 - h)/(y^p - h).
+deg lambda = p_hurwitz_4pt(t).  With D monic they make (N, D) the reduced
+pair of y^p (1 - h)/(y^p - h).
 
 The finitely many lambda values where the fiber count drops (the
 supersingular locus) are the images r^p of the poles r of h; since h has
@@ -132,15 +134,11 @@ class FourPointType:
         return self.phpos_witness() is None
 
 
-def p_hurwitz_4pt(p: int, t) -> int:
+def p_hurwitz_4pt(t: FourPointType) -> int:
     """Generic number of covers of type (d; e1, e2, e3, p-1)."""
-    if not isinstance(t, FourPointType):
-        t = FourPointType(p, *t)
-    if t.p != p:
-        raise InvalidType(f"type carries p = {t.p}, got {p}")
     if not t.phpos_ok:
         return 0
-    return (3 * p - 1 - t.E) // 2
+    return (3 * t.p - 1 - t.E) // 2
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def _dual_lambda(t: FourPointType) -> tuple[list[int], list[int]]:
     """(N, D) of lambda = y^E1 A'/B' from the 2F1 forms of the dual type."""
     p = t.p
     E1, E2, E3 = p - t.e1, p - t.e2, p - t.e3
-    hp = (3 * p - 1 - t.E) // 2
+    hp = (E1 + E2 + E3 - 1) // 2  # the degree of the genus-0 dual type
     da, db, dc = hp - E1, hp - E3, hp - E2
     a = _hyp2f1(p, da, -E2 - dc, -da - dc)[::-1]  # A'(y) = y^da * 2F1(1/y), up to scale
     b = _hyp2f1(p, db, -E2 - dc, -db - dc)
@@ -199,9 +197,9 @@ def lambda_map(ctx: FieldCtx, t: FourPointType) -> LambdaMap:
         raise FormulaMismatch(f"gcd clause: closed form is not reduced for {t}")
     lam = RatFunc(num, den)
     deg = map_degree(lam)
-    expected = (3 * p - 1 - t.E) // 2
-    if deg != expected:
-        raise FormulaMismatch(f"degree clause: deg(lambda) = {deg} but (3p-1-E)/2 = {expected} for {t}")
+    h_p = p_hurwitz_4pt(t)
+    if deg != h_p:
+        raise FormulaMismatch(f"degree clause: deg(lambda) = {deg} but h_p = {h_p} for {t}")
     return LambdaMap(p=p, four_type=t, base=h, map=lam, degree=deg)
 
 
@@ -421,7 +419,7 @@ def bad_degree(p: int, es) -> BadDegreeResult:
         h = 0  # the (p-1)-cycle does not fit in degree d: no covers at all
     else:
         h = min(s1, s2, s3, s4)
-    h_p = p_hurwitz_4pt(p, t)
+    h_p = p_hurwitz_4pt(t)
     if d <= p - 1:
         case, bad, quotient = "all_good", 0, None
     elif d <= p - 2 + t.e1:

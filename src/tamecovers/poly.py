@@ -44,14 +44,13 @@ from .field import (
     FieldCtx,
     FieldElem,
     _embedding,
-    _padd,
     _pdivmod,
     _pgcd,
     _pmonic,
     _pmul,
     _power,
     _ppowmod,
-    _psub,
+    _pzip,
     _trim,
     make_field,
 )
@@ -132,7 +131,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly(self.ctx, tuple(_padd(self.ctx, self.raw, o)))
+        return Poly(self.ctx, tuple(_pzip(self.ctx, self.raw, o, self.ctx._add)))
 
     def __neg__(self):
         return Poly(self.ctx, tuple(map(self.ctx._neg, self.raw)))
@@ -141,7 +140,7 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Poly(self.ctx, tuple(_psub(self.ctx, self.raw, o)))
+        return Poly(self.ctx, tuple(_pzip(self.ctx, self.raw, o, self.ctx._sub)))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -169,12 +168,8 @@ class Poly:
 
     def __call__(self, x) -> FieldElem:
         ctx = self.ctx
-        x = ctx.elem(x).raw
-        add, mul = ctx._add, ctx._mul
-        acc = ctx._zero
-        for c in reversed(self.raw):
-            acc = add(mul(acc, x), c)
-        return FieldElem(ctx, acc)
+        values = ctx._horner(self.raw, ctx.elem(x).raw)
+        return FieldElem(ctx, values[-1] if values else ctx._zero)
 
     def derivative(self) -> "Poly":
         """Formal derivative; in characteristic p the y^p terms vanish."""
@@ -281,12 +276,10 @@ def radical(f: Poly) -> Poly:
     if f.degree == 0:
         return Poly.one(f.ctx)
     d = f.derivative()
-    if f.ctx.characteristic == 0:
-        return (f // poly_gcd(f, d)).monic()
-    if d.is_zero:
+    if d.is_zero:  # only in characteristic p: f is a p-th power
         return radical(pth_root(f))
     g = poly_gcd(f, d)
-    v = (f // g).monic()  # factors whose exponent is prime to p
+    v = (f // g).monic()  # factors whose exponent is prime to p: all of them over Q
     r = g
     while True:
         t = poly_gcd(r, v)
@@ -295,7 +288,8 @@ def radical(f: Poly) -> Poly:
         r = r // t
     if r.degree == 0:
         return v
-    # what is left of g is a p-th power holding the p | exponent factors
+    # what is left of g (nothing over Q) is a p-th power holding the
+    # p | exponent factors
     return (v * radical(pth_root(r))).monic()
 
 

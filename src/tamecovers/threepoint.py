@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
-from .field import FieldCtx, _pmul, _psub, _trim
+from .field import FieldCtx, _pmul, _pzip, _trim
 from .poly import INF, Poly, RatFunc, poly_gcd
 from .ramify import NormalizedCover, expect_cover
 
@@ -132,7 +132,7 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
         )
     vec = basis[0]
     a, c = _trim(ctx, vec[:na]), _trim(ctx, vec[na:])
-    b = _psub(ctx, [ctx._zero] * e1 + a, _pmul(ctx, ym1, c))
+    b = _pzip(ctx, [ctx._zero] * e1 + a, _pmul(ctx, ym1, c), ctx._sub)
     A, B, C = (Poly(ctx, tuple(coeffs)) for coeffs in (a, b, c))
     if B.is_zero or A.degree != da or B.degree != db or C.degree != dc:
         raise NoSuchCover(

@@ -129,7 +129,7 @@ def _formulas(p_max: int) -> list[dict]:
         types = _admissible_types(p)
         for t in types:
             try:
-                multconst.lambda_map(ctx, t)  # checks deg(lambda) against the closed form
+                multconst.lambda_map(ctx, t)  # checks deg(lambda) against p_hurwitz_4pt
             except FormulaMismatch:
                 mismatches.append([t.e1, t.e2, t.e3])
         checks.append(_check(f"degree-identity-p{p}-{len(types)}-types", mismatches, []))

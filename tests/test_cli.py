@@ -48,6 +48,30 @@ def test_hurwitz_p_has_no_with_pminus1_flag():
     assert (code, out) == (1, "") and err.startswith("usage error:")
 
 
+LONG_P = "7" * 5000  # past the digit limit of int()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "5", "--cycles", "3,2"], "--cycles must have 3 entries (or 4 ending in p-1)"),
+        (["--p", "5", "--cycles", "3,2,3,3"], "fourth index must be p-1 = 4"),
+        (["--p", "5", "--sweep", "p=5..7", "--cycles", "3,2,3"],
+         "--p and --sweep are mutually exclusive"),
+        (["--cycles", "3,2,3"], "--p is required (or use --sweep)"),
+        (["--sweep", "p5..7", "--cycles", "3,2,3"], "bad --sweep value 'p5..7', expected p=5..13"),
+        (["--sweep", "p=5-7", "--cycles", "3,2,3"], "bad --sweep value 'p=5-7', expected p=5..13"),
+        (["--p", LONG_P, "--cycles", "3,2,3"],
+         f"bad --p '{LONG_P}': expected an integer in its printed form, such as '7'"),
+    ],
+    ids=["two-cycles", "fourth-index", "p-and-sweep", "no-p", "sweep-no-equals",
+         "sweep-dash", "long-p"],
+)
+def test_hurwitz_p_usage_errors(argv, message):
+    code, out, err = invoke(["hurwitz-p", *argv])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
 def test_hurwitz_p_accepts_four_cycles():
     doc = invoke_json(["hurwitz-p", "--p", "5", "--cycles", "3,2,3,4"])
     assert doc["h_p"] == 3
@@ -100,6 +124,18 @@ def test_lift_and_contract_round_trip(tmp_path):
     assert back["num"] == ["0", "0", "0", "5"]
     assert back["den"] == ["4", "1"]
     assert back["type"] == [3, 3, 2, 2]
+
+
+def test_contract_at_an_unramified_mu_is_a_domain_error(tmp_path):
+    # mu = 2 lies in the fiber over f(2) = 5, where f is unramified
+    doc = invoke_json(["lift", "--p", "7", "--cycles", "3,2,5", "--mu", "4"])
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(doc["cover"]), encoding="utf-8")
+    code, out, _err = invoke(
+        ["contract", "--p", "7", "--cover", str(cover_path), "--lambda", "5", "--mu", "2"]
+    )
+    assert (code, json.loads(out)) == (
+        2, {"error": "NotRamifiedHere", "detail": "mu = 2 is unramified in its fiber"})
 
 
 @pytest.mark.parametrize("p", ["5", "11"])
@@ -417,15 +453,16 @@ def test_verify_formulas_reports_a_wrong_closed_form(monkeypatch):
     # one wrong closed form fails its own check; the rest of the suite runs
     real = multconst.p_hurwitz_4pt
 
-    def off_by_one(p, t):
-        n = real(p, t)
-        return n + 1 if p == 5 and sorted((t.e1, t.e2, t.e3)) == [2, 3, 3] else n
+    def off_by_one(t):
+        n = real(t)
+        return n + 1 if t.p == 5 and sorted((t.e1, t.e2, t.e3)) == [2, 3, 3] else n
 
     monkeypatch.setattr(multconst, "p_hurwitz_4pt", off_by_one)
     doc = run_suite("formulas", p_max=5)
     assert doc["all_pass"] is False
     failed = {c["name"]: c["got"] for c in doc["checks"] if not c["pass"]}
-    assert failed == {"bad-degree-identity-p5": [[2, 3, 3]]}
+    assert failed == {"degree-identity-p5-8-types": [[2, 3, 3], [3, 2, 3], [3, 3, 2]],
+                      "bad-degree-identity-p5": [[2, 3, 3]]}
 
     code, out, _err = invoke(["verify", "--suite", "formulas", "--p_max", "5"])
     assert code == 2

@@ -114,6 +114,14 @@ def test_a_broken_closed_form_is_a_formula_mismatch(monkeypatch):
         lambda_map(make_field(13), FourPointType(13, 5, 4, 7))
 
 
+def test_wrong_hurwitz_count_fails_the_degree_clause(monkeypatch):
+    # the clause certifies the h_p that hurwitz-p prints, not a second copy
+    real = multconst.p_hurwitz_4pt
+    monkeypatch.setattr(multconst, "p_hurwitz_4pt", lambda t: real(t) + 1)
+    with pytest.raises(FormulaMismatch, match="degree clause"):
+        lambda_map(make_field(5), FourPointType(5, 2, 3, 3))
+
+
 def test_no_reduction_on_the_lambda_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("lambda_map reduced a pair")

@@ -8,6 +8,11 @@
   a ``_method`` of a module-level class, must be named somewhere in the
   package outside its own body (methods are matched by name, whatever the
   class).
+- No unreferenced public function: a module-level function of the package
+  without a leading underscore must be named somewhere in ``src/``,
+  ``tests/`` or ``perfbench/`` outside its own body, or be a
+  ``[project.scripts]`` target.  A re-export in ``__init__.py`` imports the
+  name but does not name it in code, so it does not count.
 - No raise outside the error taxonomy: every ``raise`` names a class
   defined in ``errors.py`` or a parameter of an enclosing function (as
   ``expect_cover``'s ``exc``), or is a bare re-raise, so every failure
@@ -27,7 +32,8 @@ import re
 import shutil
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tamecovers"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tamecovers"
 
 
 def _modules(pkg: Path) -> list[Path]:
@@ -82,6 +88,28 @@ def orphaned_privates(pkg: Path) -> list[str]:
             for path, fn in defs
             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
             and not fn.name.startswith("__") and total[fn.name] == _refs(fn)[fn.name]]
+
+
+def _script_targets() -> set[tuple[str, str]]:
+    """(module file, function) of each ``module:function`` in [project.scripts]."""
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.partition("[project.scripts]")[2].split("\n[", 1)[0]
+    return {(module.split(".")[-1] + ".py", name)
+            for module, name in re.findall(r'=\s*"([\w.]+):(\w+)"', section)}
+
+
+def unreferenced_publics(pkg: Path) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in _modules(pkg)}
+    others = [path for d in ("tests", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))]
+    total = sum((_refs(tree) for tree in trees.values()), collections.Counter())
+    total += sum((_refs(ast.parse(path.read_text(), str(path))) for path in others),
+                 collections.Counter())
+    scripts = _script_targets()
+    return [f"{path.relative_to(pkg)}:{fn.lineno}: {fn.name} is never named outside its own body"
+            for path, tree in trees.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            and (str(path.relative_to(pkg)), fn.name) not in scripts
+            and total[fn.name] == _refs(fn)[fn.name]]
 
 
 def foreign_raises(pkg: Path) -> list[str]:
@@ -160,6 +188,18 @@ def test_orphaned_private_function_and_method_are_named(tmp_path):
         f"symhurwitz.py:{line}: _orphan is never used outside its own body",
         f"symhurwitz.py:{line + 3}: _stray is never used outside its own body",
     ]
+
+
+def test_no_unreferenced_public_functions():
+    assert unreferenced_publics(PACKAGE) == []
+
+
+def test_unreferenced_public_function_is_named(tmp_path):
+    pkg, line = _planted(tmp_path, "cli.py", "def stray_public():\n    return stray_public\n")
+    assert unreferenced_publics(pkg) == [
+        f"cli.py:{line}: stray_public is never named outside its own body",
+    ]
+    assert _script_targets() == {("cli.py", "main")}
 
 
 def test_no_raise_outside_the_error_taxonomy():

@@ -25,7 +25,7 @@ from tamecovers.multconst import (
     p_hurwitz_4pt,
     supersingular_values,
 )
-from tamecovers.poly import INF, Poly, RatFunc, count_roots_by_degree, lift_ratfunc, roots
+from tamecovers.poly import INF, Poly, RatFunc, count_roots_by_degree, evaluate, lift_ratfunc, roots
 from tamecovers.threepoint import ThreePointSpec, solve_three_point
 
 F5 = make_field(5)
@@ -64,9 +64,9 @@ def test_four_point_type_validation():
 
 
 def test_p_hurwitz_values():
-    assert p_hurwitz_4pt(5, (2, 2, 2)) == 4
-    assert p_hurwitz_4pt(5, (3, 2, 3)) == 3
-    assert p_hurwitz_4pt(7, (5, 5, 2)) == 0  # E = 12 > p-1+2*min = 10
+    assert p_hurwitz_4pt(FourPointType(5, 2, 2, 2)) == 4
+    assert p_hurwitz_4pt(FourPointType(5, 3, 2, 3)) == 3
+    assert p_hurwitz_4pt(FourPointType(7, 5, 5, 2)) == 0  # E = 12 > p-1+2*min = 10
 
 
 def test_no_covers_below_lower_bound():
@@ -171,6 +171,16 @@ def test_contract_error_paths():
         contract(f, res.lam, F7.from_int(6))  # wrong fiber
     with pytest.raises((NotRamifiedHere, WrongIndex)):
         contract(f, F7.zero, F7.zero)  # index e1 = 3, not p-1
+
+
+def test_contract_at_an_unramified_mu():
+    # mu = 2 lies in the fiber over f(2), where f is unramified
+    h = solve_three_point(F7, FourPointType(7, 3, 2, 5).tilde_spec)
+    f = lift(h, F7.from_int(4)).cover.cover
+    mu = F7.from_int(2)
+    with pytest.raises(NotRamifiedHere) as info:
+        contract(f, evaluate(f, mu), mu)
+    assert info.value.detail == "mu = 2 is unramified in its fiber"
 
 
 def test_roundtrip_over_extension_mu():

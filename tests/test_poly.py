@@ -113,6 +113,11 @@ def test_pth_root_and_radical():
     assert radical(g) == (P(F5, 1, 1) * P(F5, 3, 1) * P(F5, 0, 1)).monic()
 
 
+def test_radical_over_Q():
+    f = P(QQ, 1, 1) ** 3 * P(QQ, 5, 1) ** 2 * P(QQ, 2, 0, 1)
+    assert radical(f) == P(QQ, 1, 1) * P(QQ, 5, 1) * P(QQ, 2, 0, 1)
+
+
 def test_pth_root_of_a_non_pth_power_is_an_invariant_violation():
     with pytest.raises(InvariantViolated, match="not a p-th power"):
         pth_root(P(F5, 1, 1))
@@ -268,6 +273,14 @@ def test_roots_in_extension_ctx():
     got = roots(f, 2)
     assert [(m, k) for _r, m, k in got] == [(1, 2), (1, 2)]
     assert all(r.ctx is F25 for r, _m, _k in got)
+
+
+def test_roots_over_an_extension_skip_roots_outside_it():
+    # y^2 + y + 1 is irreducible over F_5: its roots lie in F_25, not in F_125
+    F125 = make_field(5, 3)
+    q = lift_poly(P(F5, 1, 1, 1), F125)
+    assert roots(q) == []
+    assert roots(q * lift_poly(P(F5, 2, 1), F125)) == [(F125.from_int(3), 1, 1)]
 
 
 @pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2), (2, 4), (13, 3)])
