@@ -10,33 +10,34 @@ moves along the degree-1 map
 
     c  ->  (1 + c*rho^p) / (1 + c).
 
-``construct_family`` builds the one concrete merged family available in
-closed form: degree p+2, index p+2 at infinity, index 3 at 0, and indices
-e3 at 1, e4 at rho with e3 + e4 = p + 1.  Writing
+``construct_family`` builds every merged cover of type (p+2; p+2, 3, e3, e4)
+with e3 + e4 = p + 1.  The index p + 2 at infinity is full and tame, so f is
+a polynomial; all its ramification is tame, so with A = e3 - 1, B = e4 - 1,
 
-    f - 1 = c (x-1)^e3 (x-rho)^e4 (x-a)
+    f' = kappa * x^2 (x-1)^A (x-rho)^B,
 
-the order-3 vanishing of f at 0 forces two linear conditions on (rho, a);
-eliminating rho yields the quadratic e3*a^2 + 2*e3*a + 2 - e3 = 0.  Both
-linear conditions are evaluated and cross-checked rather than trusting any
-printed shortcut, and every family returned is re-verified by a full
-ramification analysis.
+of degree p + 1 as Riemann-Hurwitz asks.  In characteristic p the term
+x^(p-1) has no antiderivative, so rho must kill its coefficient
+
+    Q(rho) = C(B,2) rho^2 + A*B rho + C(A,2),
+
+and then f = kappa*G + t*x^p, with G the termwise antiderivative, G(0) = 0,
+and kappa, t fixed by f(1) = f(rho) = 1.  Q has discriminant A*B*(A+B-1),
+which is -2AB (mod p) and nonzero as 1 <= A, B <= p-2; Q(1) = C(p-1,2) is
+1 (mod p); Q(0) = C(A,2) vanishes only when e3 = 2.  So there are exactly
+2 - [e3 = 2] merged covers, with rho in F_p when e3 = 2 or -2(e3-1)(e4-1)
+is a square mod p, and conjugate in F_{p^2} otherwise.  Since c -> lambda
+has degree 1, the additive Hurwitz curve of the split type is 2 - [e3 = 2]
+rational components over the lambda-line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    ExcludedC,
-    FormulaMismatch,
-    FrobeniusCollision,
-    InvalidType,
-    NoValidRoot,
-    TypeDegenerates,
-)
+from .errors import ExcludedC, FormulaMismatch, FrobeniusCollision, InvalidType, TypeDegenerates
 from .field import FieldElem, is_prime, make_field
-from .poly import INF, Poly, RatFunc, evaluate, ord_at, roots
+from .poly import INF, Poly, RatFunc, evaluate, roots
 from .ramify import NormalizedCover, RamType, expect_cover
 
 
@@ -142,14 +143,11 @@ def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, F
     x3, x4 = ctx.elem(x3), ctx.elem(x4)
     if x3 == x4:
         raise FrobeniusCollision("the two ramification points coincide")
-    x3p, x4p = x3 ** p, x4 ** p
-    if x3p == x4p:
-        raise FrobeniusCollision(f"{x3}^p = {x4}^p for distinct points")
     v3 = evaluate(g, x3)
     v4 = evaluate(g, x4)
     if v3 is INF or v4 is INF:
         raise TypeDegenerates("a ramification point to merge is a pole")
-    c = (v4 - v3) / (x3p - x4p)
+    c = (v4 - v3) / (x3 ** p - x4 ** p)  # x -> x^p is injective, so x3^p != x4^p
 
     merged = _twisted(g, c, p)
     shared = evaluate(merged, x3)
@@ -167,54 +165,35 @@ def find_merging_c(g: RatFunc, x3: FieldElem, x4: FieldElem) -> tuple[RatFunc, F
 def construct_family(p: int, e3: int, e4: int) -> list[AdditiveFamily]:
     """All merged covers of type (p+2; p+2, 3, e3-e4) with e3 + e4 = p + 1.
 
-    Solves the quadratic for the free point a (roots may be conjugate in
-    F_{p^2}), derives rho from both order-3 conditions at 0 with a
-    cross-check, fixes c by f(0) = 0, and verifies each candidate by a full
-    ramification analysis.  Returns one or two families.
+    Integrates f' at each root rho != 0 of Q (see the module docstring) and
+    certifies f by a full ramification analysis.  Each family carries rho,
+    and a and c with f - 1 = c (x-1)^e3 (x-rho)^e4 (x-a): c = lc(f), and the
+    order 3 of f at 0 gives a = rho/(e3 - 1 - e3*rho).  The 2 - [e3 = 2]
+    families are ordered by the field degree of a, then by canonical order.
     """
     if not is_prime(p) or p <= 3:
         raise InvalidType(f"p = {p} must be a prime > 3")
     if not (2 <= e3 < e4 < p) or e3 + e4 != p + 1:
         raise InvalidType(f"need 2 <= e3 < e4 < p with e3 + e4 = p + 1, got ({e3}, {e4})")
-    ctx = make_field(p)
-    quad = Poly.from_ints(ctx, [2 - e3, 2 * e3, e3])
+    A, B = e3 - 1, e4 - 1
+    Q = Poly.from_ints(make_field(p), [A * (A - 1) // 2, A * B, B * (B - 1) // 2])
     out = []
-    skipped = []
-    for a, mult, _k in roots(quad, 2):
-        if mult != 1:
-            raise TypeDegenerates(f"the quadratic in a has a double root for e3 = {e3}")
-        actx = a.ctx
-        one = actx.one
-        e3a, e4a = actx.from_int(e3), actx.from_int(e4)
-        den1 = e3a * a + one
-        if den1.is_zero:
-            skipped.append((a, "rho undefined"))
-            continue
-        rho = (e3a - one) * a / den1
-        rho_alt = (e3a - actx.from_int(2) - a) / (e3a + one)
-        if rho != rho_alt:
-            raise FormulaMismatch(
-                f"the two order-3 conditions disagree on rho at a = {a}"
-            )
-        pts = [actx.zero, one, rho, a]
-        if len(set(pts)) != 4:
-            skipped.append((a, "0, 1, rho, a not pairwise distinct"))
-            continue
-        c = (a * rho ** e4).inverse()
-        shape = (
-            Poly.from_elems(actx, [-one, one]) ** e3
-            * Poly.from_elems(actx, [-rho, one]) ** e4
-            * Poly.from_elems(actx, [-a, one])
-        )
-        f = RatFunc.from_poly(Poly.one(actx) + shape * c)
-        zero = actx.zero
-        if evaluate(f, zero) != zero or ord_at(f, zero, zero) != 3:
-            raise TypeDegenerates(f"f does not vanish to order 3 at 0 for a = {a}")
+    for rho, _mult, _k in roots(Q, 2):
+        if rho.is_zero:
+            continue  # Q(0) = 0 when e3 = 2, but rho must differ from the point 0
+        ctx = rho.ctx
+        one = ctx.one
+        x = Poly.x(ctx)
+        g = x * x * (x - one) ** A * (x - rho) ** B
+        if not g.coeffs[p - 1].is_zero:
+            raise FormulaMismatch(f"f' has a nonzero x^{p - 1} term at the root rho = {rho} of Q")
+        G = Poly.from_elems(ctx, [ctx.zero] + [gk / ctx.from_int(k + 1) if (k + 1) % p else gk
+                                               for k, gk in enumerate(g.coeffs)])
+        rho_p = rho ** p
+        kappa = (rho_p - one) / (G(one) * rho_p - G(rho))
+        f = _twisted(RatFunc.from_poly(G * kappa), one - kappa * G(one), p)
+        a = rho / (ctx.from_int(e3 - 1) - ctx.from_int(e3) * rho)
         merged = make_merged_cover(f, p, (p + 2, 3, e3, e4), rho)
-        out.append(AdditiveFamily(p=p, e3=e3, e4=e4, a=a, rho=rho, c=c, merged=merged))
-    if not out:
-        raise NoValidRoot(
-            f"both roots of the quadratic are degenerate for p = {p}, e3 = {e3}: {skipped}"
-        )
-    return out  # in the order of roots: (field degree of a, canonical order)
-
+        out.append(AdditiveFamily(p=p, e3=e3, e4=e4, a=a, rho=rho, c=f.num.lc, merged=merged))
+    # the roots of Q lie in one field, F_p or F_{p^2}, so a fixes the order
+    return sorted(out, key=lambda fam: fam.a.sort_key())

@@ -137,7 +137,3 @@ class FrobeniusCollision(DomainError):
 
 class TypeDegenerates(DomainError):
     code = "TypeDegenerates"
-
-
-class NoValidRoot(DomainError):
-    code = "NoValidRoot"

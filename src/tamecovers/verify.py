@@ -15,7 +15,7 @@ import itertools
 from . import addconst, jsonio, multconst, symhurwitz
 from .errors import DegreeTooLarge, DomainError, FormulaMismatch, InvalidMu, MixedContexts, UsageError
 from .field import is_prime, make_field
-from .poly import lift_ratfunc
+from .poly import Poly, lift_poly, lift_ratfunc
 from .threepoint import ThreePointSpec, solve_three_point
 
 SUITES = ("paper-examples", "formulas", "roundtrip", "oracle")
@@ -148,6 +148,23 @@ def _formulas(p_max: int) -> list[dict]:
             if res.case == "mixed" and res.bad % p != 0:
                 bad_mismatches.append(list(es))
         checks.append(_check(f"bad-degree-identity-p{p}", bad_mismatches, []))
+
+        count_failures = []
+        for e3 in range(2, (p + 1) // 2):
+            e4 = p + 1 - e3
+            try:
+                fams = addconst.construct_family(p, e3, e4)
+            except DomainError:
+                count_failures.append(e3)
+                continue
+            in_fp = e3 == 2 or pow(-2 * (e3 - 1) * (e4 - 1), (p - 1) // 2, p) == 1  # Euler
+            # the quadratic in a of the older derivation, independent of Q
+            quad = Poly.from_ints(ctx, [2 - e3, 2 * e3, e3])
+            if (len(fams) != 2 - (e3 == 2)
+                    or any((fam.rho.min_degree() == 1) != in_fp for fam in fams)
+                    or any(not lift_poly(quad, fam.a.ctx)(fam.a).is_zero for fam in fams)):
+                count_failures.append(e3)
+        checks.append(_check(f"additive-count-p{p}", count_failures, []))
 
     QQ = make_field(0)
     failures = []

@@ -216,7 +216,7 @@ def test_criterion_09_additive_construction():
             if not e3 < e4 < p:
                 continue
             members = construct_family(p, e3, e4)
-            assert len(members) >= 1
+            assert len(members) == 2 - (e3 == 2)
             for member in members:
                 ctx = member.merged.f.ctx
                 rho_excl = -((member.rho ** p).inverse())

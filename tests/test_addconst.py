@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -62,25 +64,29 @@ def test_family_rejects_bad_parameters():
 
 
 def test_roots_are_dropped_exactly_when_points_collide():
-    # the operative criterion: 0, 1, rho, a pairwise distinct for the rho
-    # derived from the two order-3 conditions
-    for p in (5, 7, 11, 13):
+    # the older derivation as the oracle: a solves e3*a^2 + 2*e3*a + 2 - e3,
+    # rho follows from the order-3 conditions at 0, a root is dropped unless
+    # 0, 1, rho, a are pairwise distinct, c = (a*rho^e4)^-1 and
+    # f = 1 + c (x-1)^e3 (x-rho)^e4 (x-a)
+    for p in (5, 7, 11, 13, 17, 19, 23):
         ctx = make_field(p)
-        for e3 in range(2, (p - 1) // 2 + 1):
+        for e3 in range(2, (p + 1) // 2):
             e4 = p + 1 - e3
-            if not e3 < e4 < p:
-                continue
-            quad = Poly.from_ints(ctx, [2 - e3, 2 * e3, e3])
-            kept = {repr(f.a) for f in construct_family(p, e3, e4)}
-            for a, _m, _k in roots(quad, 2):
+            want = []
+            for a, _m, _k in roots(Poly.from_ints(ctx, [2 - e3, 2 * e3, e3]), 2):
                 actx = a.ctx
-                den1 = actx.from_int(e3) * a + actx.from_int(1)
+                den1 = actx.from_int(e3) * a + actx.one
                 if den1.is_zero:
-                    assert repr(a) not in kept
                     continue
-                rho = (actx.from_int(e3) - actx.from_int(1)) * a / den1
-                distinct = len({repr(x) for x in (actx.zero, actx.one, rho, a)}) == 4
-                assert (repr(a) in kept) == distinct
+                rho = (actx.from_int(e3) - actx.one) * a / den1
+                if len({actx.zero, actx.one, rho, a}) != 4:
+                    continue
+                c = (a * rho ** e4).inverse()
+                shape = (P(actx, -1, 1) ** e3 * Poly.from_elems(actx, [-rho, actx.one]) ** e4
+                         * Poly.from_elems(actx, [-a, actx.one]))
+                want.append((a, rho, c, RatFunc.from_poly(Poly.one(actx) + shape * c)))
+            got = [(f.a, f.rho, f.c, f.merged.f) for f in construct_family(p, e3, e4)]
+            assert got == want, (p, e3)
 
 
 def test_known_counts_against_simple_exceptional_shortcut():
@@ -187,12 +193,33 @@ def test_find_merging_c_rejects_collapsed_points():
 
 
 def test_hp_transfer_and_lower_bound():
-    # merged-type counts transfer unchanged to the split type, so h_p >= 1
-    # is the lower bound len(families) >= 1
+    # merged-type counts transfer unchanged to the split type; Q has the
+    # root 0 exactly when e3 = 2, so h_p = 2 - [e3 = 2]
     for p in (5, 7, 11):
         for e3 in range(2, (p - 1) // 2 + 1):
             e4 = p + 1 - e3
             if not e3 < e4 < p:
                 continue
             fams = construct_family(p, e3, e4)
-            assert len(fams) >= 1
+            assert len(fams) == 2 - (e3 == 2)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("A * B, B * (B - 1) // 2]", "A * B + 1, B * (B - 1) // 2]"),  # a coefficient of Q
+    ("ctx.from_int(k + 1)", "ctx.from_int(k + 2)"),  # the termwise integration
+])
+def test_planted_fault_fails_the_additive_count(tmp_path, old, new):
+    # a copy of the package with one fault planted in construct_family
+    pkg = tmp_path / "tamecovers"
+    shutil.copytree(os.path.dirname(tamecovers.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    text = (pkg / "addconst.py").read_text()
+    assert text.count(old) == 1
+    (pkg / "addconst.py").write_text(text.replace(old, new))
+    out = subprocess.run(
+        [sys.executable, "-m", "tamecovers", "verify", "--suite", "formulas", "--p_max", "7"],
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 2, out.stderr
+    got = {c["name"]: c["got"] for c in json.loads(out.stdout)["checks"]}
+    assert (got["additive-count-p5"], got["additive-count-p7"]) == ([2], [2, 3])

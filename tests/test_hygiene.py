@@ -17,6 +17,9 @@
   defined in ``errors.py`` or a parameter of an enclosing function (as
   ``expect_cover``'s ``exc``), or is a bare re-raise, so every failure
   carries a stable code.
+- No dead error class: every class defined in ``errors.py`` is named
+  somewhere in the package outside ``errors.py``, so a deletion cannot
+  leave the code of a failure that can no longer happen.
 - No ``type=int`` in a call: argparse would read the option with
   ``int()``, which accepts whitespace, a sign, ``_`` and non-ASCII digits;
   every integer option goes through ``cli._int``, which accepts only the
@@ -135,6 +138,15 @@ def foreign_raises(pkg: Path) -> list[str]:
     return bad
 
 
+def dead_error_classes(pkg: Path) -> list[str]:
+    errors = pkg / "errors.py"
+    named = sum((_refs(ast.parse(path.read_text(), str(path)))
+                 for path in _modules(pkg) if path != errors), collections.Counter())
+    return [f"errors.py:{node.lineno}: {node.name} is never named outside errors.py"
+            for node in ast.parse(errors.read_text()).body
+            if isinstance(node, ast.ClassDef) and not named[node.name]]
+
+
 def int_typed_calls(pkg: Path) -> list[str]:
     return [f"{path.relative_to(pkg)}:{node.lineno}: type=int reads with int(), not cli._int"
             for path in _modules(pkg)
@@ -216,6 +228,18 @@ def test_raise_outside_the_error_taxonomy_is_named(tmp_path):
     pkg, line = _planted(tmp_path, "symhurwitz.py", source)
     assert foreign_raises(pkg) == [
         f"symhurwitz.py:{line + 5}: raise ValueError is not a class of errors.py",
+    ]
+
+
+def test_no_dead_error_classes():
+    assert dead_error_classes(PACKAGE) == []
+
+
+def test_dead_error_class_is_named(tmp_path):
+    source = "class StrayError(DomainError):\n    code = \"StrayError\"\n"
+    pkg, line = _planted(tmp_path, "errors.py", source)
+    assert dead_error_classes(pkg) == [
+        f"errors.py:{line}: StrayError is never named outside errors.py",
     ]
 
 
