@@ -20,7 +20,7 @@ The private ``_p*`` functions are the polynomial kernel: add and sub (one
 ``_pzip``), mul, divmod, monic, gcd, pow-mod and inverse-mod on ascending
 sequences of raw values, generic over the context.  ``poly.Poly`` runs it
 over its coefficient field, and an extension runs it over F_p for its
-inverse, its p-th root and the search for its modulus.
+inverse and the search for its modulus.
 
 An extension F_{p^n} is F_p[t] modulo a fixed monic irreducible
 polynomial: the first irreducible hit when the non-leading coefficients
@@ -232,8 +232,8 @@ class FieldCtx:
     """Shared, immutable description of a field; owns the raw arithmetic.
 
     Each subclass sets the canonical raw ``_zero`` and ``_one`` and defines
-    ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``_pth_root``,
-    ``from_int``, ``format``, ``_raw_of`` and ``sort_key``.  ``_raw_of(s)``
+    ``_add``, ``_sub``, ``_mul``, ``_neg``, ``_inv``, ``from_int``,
+    ``format``, ``_raw_of`` and ``sort_key``.  ``_raw_of(s)``
     returns the in-range raw value read from the ASCII digit tokens of s, or
     None; ``parse`` accepts s only when ``format`` of that value is s.  The
     hot loops ``_row_update`` and ``_horner`` run on plain ints in PrimeField.
@@ -317,9 +317,6 @@ class PrimeField(FieldCtx):
             raise DivisionByZero(f"inverse of zero in {self}")
         return pow(a, -1, self.p)
 
-    def _pth_root(self, a):
-        return a  # Frobenius is the identity on F_p
-
     def from_int(self, k):
         return FieldElem(self, k % self.p)
 
@@ -356,7 +353,7 @@ class ExtField(FieldCtx):
     integers, whose terms t^n .. t^(2n-2) are folded back through ``_fold``,
     the table of their residues modulo the modulus (n - 1 rows of n ints,
     computed once with the kernel), and reduced mod p once at the end.
-    Inverse and p-th root run the kernel over ``prime``.
+    Inverse runs the kernel over ``prime``.
 
     ``ExtField(p, n)`` holds only what the text form needs; ``make_field``
     then sets ``modulus`` and ``_fold``, which the arithmetic reads.
@@ -407,11 +404,6 @@ class ExtField(FieldCtx):
         if a == self._zero:
             raise DivisionByZero(f"inverse of zero in {self}")
         return self._pad(_pinvmod(self.prime, _trim(self.prime, list(a)), self.modulus))
-
-    def _pth_root(self, a):
-        # a = b^p with b = a^(p^(n-1))
-        F = self.prime
-        return self._pad(_ppowmod(F, _trim(F, list(a)), self.p ** (self.n - 1), self.modulus))
 
     def from_int(self, k):
         return FieldElem(self, (k % self.p,) + self._zero[1:])
@@ -473,9 +465,6 @@ class RationalField(FieldCtx):
         if a == 0:
             raise DivisionByZero("inverse of zero in Q")
         return 1 / a
-
-    def _pth_root(self, a):
-        raise CharZero("no Frobenius in characteristic zero")
 
     def from_int(self, k):
         return FieldElem(self, Fraction(k))
@@ -613,9 +602,6 @@ class FieldElem:
         if p == 0:
             raise CharZero("no Frobenius in characteristic zero")
         return self ** p
-
-    def pth_root(self) -> "FieldElem":
-        return FieldElem(self.ctx, self.ctx._pth_root(self.raw))
 
     def lift_to(self, ext: FieldCtx) -> "FieldElem":
         """Embed a prime-field element into an extension of the same field."""

@@ -15,10 +15,9 @@ Root finding in characteristic p rests on one distinct-degree split: the
 roots of minimal degree k over F_p are those of gcd(y^(p^k) - y, .) once
 the roots of smaller degree are peeled off.
 
-* ``roots`` names the roots of each degree k and splits them down to linear
-  factors: for a prime-field polynomial those with k up to a bound, inside
-  the canonical field F_{p^k} of the tower; for a polynomial over F_{p^n}
-  those with k dividing n, inside F_{p^n} itself.
+* ``roots`` takes a polynomial over F_p, p odd, names its roots of each
+  degree k up to a bound and splits them down to linear factors inside the
+  canonical field F_{p^k} of the tower.
 * ``count_roots_by_degree`` counts the roots of each degree k up to its
   bound, over any finite coefficient field, and never has to name them;
   roots of larger degree are not counted.
@@ -40,9 +39,9 @@ from .errors import (
     ZeroDenominator,
 )
 from .field import (
-    ExtField,
     FieldCtx,
     FieldElem,
+    PrimeField,
     _embedding,
     _pdivmod,
     _pgcd,
@@ -254,43 +253,29 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return Poly(base.ctx, tuple(_ppowmod(base.ctx, base.raw, e, base._coerce(mod))))
 
 
-def pth_root(f: Poly) -> Poly:
-    """Inverse of y -> y^p on polynomials whose derivative vanishes."""
-    ctx = f.ctx
-    p = ctx.characteristic
-    if p == 0:
-        raise CharZero("p-th root needs positive characteristic")
-    out = []
-    for i, c in enumerate(f.raw):
-        if i % p == 0:
-            out.append(ctx._pth_root(c))
-        elif c != ctx._zero:
-            raise InvariantViolated("polynomial is not a p-th power")
-    return Poly(ctx, tuple(out))
-
-
 def radical(f: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of f."""
+    """Monic product of the distinct irreducible factors of f.
+
+    f // gcd(f, f') keeps each factor whose multiplicity is prime to p, all
+    of them over Q.  The package takes radicals only of polynomials of
+    degree below p, which have no other kind; the gcd loop checks that: a
+    factor of gcd(f, f') that is left once every factor of f // gcd(f, f')
+    is divided out has a multiplicity divisible by p, and raises
+    InvariantViolated.
+    """
     if f.is_zero:
         raise DivisionByZero("radical of the zero polynomial")
-    if f.degree == 0:
-        return Poly.one(f.ctx)
-    d = f.derivative()
-    if d.is_zero:  # only in characteristic p: f is a p-th power
-        return radical(pth_root(f))
-    g = poly_gcd(f, d)
-    v = (f // g).monic()  # factors whose exponent is prime to p: all of them over Q
+    g = poly_gcd(f, f.derivative())
+    v = (f // g).monic()
     r = g
     while True:
         t = poly_gcd(r, v)
         if t.degree == 0:
             break
         r = r // t
-    if r.degree == 0:
-        return v
-    # what is left of g (nothing over Q) is a p-th power holding the
-    # p | exponent factors
-    return (v * radical(pth_root(r))).monic()
+    if r.degree > 0:
+        raise InvariantViolated(f"radical: the factor {r} has a multiplicity divisible by p")
+    return v
 
 
 def lift_poly(f: Poly, ext: FieldCtx) -> Poly:
@@ -422,17 +407,9 @@ def ord_at(f: RatFunc, x, target) -> int:
 # Root finding
 
 def _linear_roots_split(g: Poly) -> list[FieldElem]:
-    """All roots of a squarefree monic g that splits completely over its field."""
+    """All roots of a squarefree monic g of positive degree that splits
+    completely over its field, a field of odd characteristic."""
     ctx = g.ctx
-    if g.degree <= 0:
-        return []
-    q = ctx.order
-    if q % 2 == 0:
-        # characteristic 2 has no quadratic character to split with: scan
-        found = [e for e in ctx.elements() if g(e).is_zero]
-        if len(found) != g.degree:
-            raise InvariantViolated("polynomial did not split as expected")
-        return found
     # deterministic equal-degree splitting: successive shifts a separate any
     # pair of roots because the quadratic character of (r + a) cannot agree
     # for every a in the field.  A shift a in F_p never separates r from its
@@ -442,7 +419,7 @@ def _linear_roots_split(g: Poly) -> list[FieldElem]:
     # the shift that split them: no earlier shift separates two roots of h,
     # and that one puts all roots of each part on one side, so every pair is
     # still offered every shift that could separate it.
-    half = (q - 1) // 2
+    half = (ctx.order - 1) // 2
     p = ctx.characteristic
     x = Poly.x(ctx)
 
@@ -461,29 +438,23 @@ def _linear_roots_split(g: Poly) -> list[FieldElem]:
 
 
 def roots(f: Poly, max_ext_degree: int = DEFAULT_EXT) -> list[tuple[FieldElem, int, int]]:
-    """Roots of f, each once, as (root, multiplicity in f, k), ordered by
-    (k, canonical element order), where k is the minimal field degree of
-    the root over F_p.
+    """Roots of f over F_p, p odd, each once, as (root, multiplicity in f, k),
+    ordered by (k, canonical element order), where k is the minimal field
+    degree of the root over F_p.
 
-    Over F_p the roots with k <= max_ext_degree are named inside the
-    canonical fields F_{p^k} of the tower.  Over F_{p^n} the roots are
-    those lying in F_{p^n}, the ones whose k divides n, and the bound is
-    not used.
+    The roots with k <= max_ext_degree are named inside the canonical fields
+    F_{p^k} of the tower.
     """
     ctx = f.ctx
     if ctx.characteristic == 0:
         raise CharZero("root finding needs characteristic p")
+    if not isinstance(ctx, PrimeField) or ctx.p == 2:
+        raise MixedContexts(f"root finding takes a polynomial over F_p with p odd, not over {ctx}")
     if f.is_zero:
         raise DivisionByZero("root finding on the zero polynomial")
-    n = ctx.n if isinstance(ctx, ExtField) else None
     out: list[tuple[FieldElem, int, int]] = []
-    for k, g in _distinct_degree(f, n or max_ext_degree):
-        if n is None:
-            ext = make_field(ctx.characteristic, k)
-        elif n % k == 0:
-            ext = ctx
-        else:
-            continue  # roots of degree k lie outside F_{p^n}
+    for k, g in _distinct_degree(f, max_ext_degree):
+        ext = make_field(ctx.p, k)
         fk = lift_poly(f, ext)
         batch = [(r, linear_multiplicity(fk, r), k) for r in _linear_roots_split(lift_poly(g, ext))]
         batch.sort(key=lambda t: t[0].sort_key())

@@ -14,9 +14,8 @@ the same dimension.  Uniqueness of the cover forces the kernel to be
 one-dimensional whenever the cover exists; the kernel vector is scaled to
 make B monic and the resulting map is verified to have exactly the
 requested type.  The verification is not optional: the system acquires
-spurious kernel vectors precisely when the cover does not exist (in
-characteristic p this happens for d >= p), so checking the result IS the
-existence test.
+spurious kernel vectors precisely when the cover does not exist, so
+checking the result IS the existence test.
 
 The same solve works verbatim over Q and over F_p.
 """

@@ -47,15 +47,13 @@ def test_modulus_determinism():
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (11, 2), (13, 3)])
 def test_modulus_is_irreducible(p, n):
-    # an irreducible modulus has no roots in any proper subfield tower step
+    # an irreducible modulus has all n of its roots in degree n, none in a
+    # proper subfield
     ctx = make_field(p, n)
-    from tamecovers.poly import roots
+    from tamecovers.poly import count_roots_by_degree
 
-    base = make_field(p)
-    mod = Poly.from_ints(base, list(ctx.modulus))
-    found = roots(mod, n)
-    assert all(k == n for _r, _m, k in found)
-    assert len(found) == n
+    mod = Poly.from_ints(make_field(p), list(ctx.modulus))
+    assert count_roots_by_degree(mod, n) == {k: n if k == n else 0 for k in range(1, n + 1)}
 
 
 def test_basic_arith_examples():

@@ -132,6 +132,17 @@ def test_degree_identity_full_sweep_p11():
         assert L.degree == 11 - t.e1 + t.d_tilde - t.e2
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_root_finding_inputs_have_degree_below_p(p):
+    # h.den, whose roots are the supersingular values, and the lambda-fibers,
+    # whose radical count_covers_at takes, have degree below p: no factor has
+    # a multiplicity divisible by p, so radical never needs a p-th root
+    for t in admissible_types(p):
+        L = lambda_map(make_field(p), t)
+        assert L.base.cover.den.degree < p
+        assert L.degree < p
+
+
 # -- lift and contract -------------------------------------------------------
 
 def test_lift_example_at_p7():

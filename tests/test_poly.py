@@ -8,6 +8,7 @@ from tamecovers.errors import (
     ConstantMap,
     DivisionByZero,
     InvariantViolated,
+    MixedContexts,
     ValueMismatch,
     ZeroDenominator,
 )
@@ -25,7 +26,6 @@ from tamecovers.poly import (
     ord_at,
     poly_gcd,
     pow_mod,
-    pth_root,
     radical,
     roots,
 )
@@ -92,7 +92,6 @@ def test_kernel_identities(p, n):
         for x in ctx.elements():
             if not x.is_zero:
                 assert x * x.inverse() == ctx.one
-                assert x.pth_root() ** p == x
 
 
 def test_derivative_linearity_and_product_rule():
@@ -105,22 +104,20 @@ def test_derivative_linearity_and_product_rule():
 
 
 def test_pth_root_and_radical():
-    f = (P(F5, 1, 1) ** 5) * (P(F5, 3, 1) ** 10)
-    assert f.derivative().is_zero
-    assert pth_root(f) == P(F5, 1, 1) * P(F5, 3, 1) ** 2
-    # radical through mixed exponents, p | e and p coprime e together
-    g = (P(F5, 1, 1) ** 5) * (P(F5, 3, 1) ** 2) * P(F5, 0, 1)
-    assert radical(g) == (P(F5, 1, 1) * P(F5, 3, 1) * P(F5, 0, 1)).monic()
+    # mixed exponents, all prime to p, still give the radical
+    g = (P(F5, 1, 1) ** 4) * (P(F5, 3, 1) ** 2) * P(F5, 0, 1) * P(F5, 2, 0, 1) ** 3
+    assert radical(g) == (P(F5, 1, 1) * P(F5, 3, 1) * P(F5, 0, 1) * P(F5, 2, 0, 1)).monic()
+    # a factor whose multiplicity p divides is left by the gcd loop: no p-th root is taken
+    with pytest.raises(InvariantViolated, match="multiplicity divisible by p") as info:
+        radical(P(F5, -1, 1) ** 5 * P(F5, -2, 1))
+    assert info.value.detail == "radical: the factor y^5 + 4 has a multiplicity divisible by p"
+    with pytest.raises(InvariantViolated, match="multiplicity divisible by p"):
+        radical(P(F5, 1, 1) ** 5)
 
 
 def test_radical_over_Q():
     f = P(QQ, 1, 1) ** 3 * P(QQ, 5, 1) ** 2 * P(QQ, 2, 0, 1)
     assert radical(f) == P(QQ, 1, 1) * P(QQ, 5, 1) * P(QQ, 2, 0, 1)
-
-
-def test_pth_root_of_a_non_pth_power_is_an_invariant_violation():
-    with pytest.raises(InvariantViolated, match="not a p-th power"):
-        pth_root(P(F5, 1, 1))
 
 
 def test_negative_polynomial_power_is_an_invariant_violation():
@@ -268,34 +265,44 @@ def test_roots_char_zero_raises():
         roots(P(QQ, -1, 0, 1), 2)
 
 
-def test_roots_in_extension_ctx():
-    f = lift_poly(P(F5, 1, 1, 1), F25)
-    got = roots(f, 2)
-    assert [(m, k) for _r, m, k in got] == [(1, 2), (1, 2)]
-    assert all(r.ctx is F25 for r, _m, _k in got)
+def test_roots_take_only_a_polynomial_over_an_odd_prime_field():
+    with pytest.raises(MixedContexts, match="over F_p with p odd"):
+        roots(lift_poly(P(F5, 1, 1, 1), F25), 2)
+    with pytest.raises(MixedContexts, match="over F_p with p odd"):
+        roots(P(make_field(2), 1, 1, 1), 2)
 
 
-def test_roots_over_an_extension_skip_roots_outside_it():
-    # y^2 + y + 1 is irreducible over F_5: its roots lie in F_25, not in F_125
-    F125 = make_field(5, 3)
-    q = lift_poly(P(F5, 1, 1, 1), F125)
-    assert roots(q) == []
-    assert roots(q * lift_poly(P(F5, 2, 1), F125)) == [(F125.from_int(3), 1, 1)]
+def _scan_roots(f, fields):
+    """(root, multiplicity, k) for each zero of f of minimal degree k in the
+    k-th field, in order of (k, canonical element order)."""
+    out = []
+    for k, F in enumerate(fields, 1):
+        fk = lift_poly(f, F)
+        out += [(r, linear_multiplicity(fk, r), k) for r in F.elements()
+                if fk(r).is_zero and r.min_degree() == k]
+    return out
 
 
-@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2), (2, 4), (13, 3)])
+@pytest.mark.parametrize("p,n", [(5, 2), (3, 3), (7, 2), (13, 3)])
 def test_roots_over_extension_match_brute_force(p, n):
-    ctx = make_field(p, n)
-    elems = list(ctx.elements())
+    # roots(f, n) over F_p against a scan of F_{p^k} for k <= n
+    base = make_field(p)
+    fields = [make_field(p, k) for k in range(1, n + 1)]
     rng = random.Random(10 * p + n)
-    for _ in range(6):
-        f = Poly.from_elems(ctx, [rng.choice(elems) for _ in range(4)] + [ctx.one])
-        # planted roots, some repeated: one in F_p, two anywhere in the field
-        for r in (ctx.from_int(rng.randrange(p)), rng.choice(elems), rng.choice(elems)):
-            f = f * Poly.from_elems(ctx, [-r, ctx.one]) ** rng.randrange(1, 4)
-        want = [(r, linear_multiplicity(f, r), r.min_degree()) for r in elems if f(r).is_zero]
-        want.sort(key=lambda t: (t[2], t[0].sort_key()))
-        assert roots(f) == want
+    tried = 0
+    while tried < 6:
+        f = Poly.from_ints(base, [rng.randrange(p) for _ in range(3)] + [1])
+        # planted roots: two in F_p and the pair of a monic quadratic,
+        # irreducible or not, each with a multiplicity below p
+        for q in (P(base, rng.randrange(p), 1), P(base, rng.randrange(p), 1),
+                  P(base, rng.randrange(p), rng.randrange(p), 1)):
+            f = f * q ** rng.randrange(1, min(p, 4))
+        want = _scan_roots(f, fields)
+        if any(m >= p for _r, m, _k in want):
+            continue  # planted roots that met: the multiplicity reached p
+        tried += 1
+        assert roots(f, n) == want
+        assert roots(f, 2) == [t for t in want if t[2] <= 2]
 
 
 def test_count_roots_by_degree():

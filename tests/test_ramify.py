@@ -11,7 +11,6 @@ from tamecovers.poly import (
     RatFunc,
     lift_ratfunc,
     ord_at,
-    roots,
 )
 from tamecovers.ramify import (
     RamType,
@@ -106,20 +105,23 @@ def test_analyze_three_point_cover_over_F7():
 
 
 def test_branch_value_reached_from_two_field_degrees_is_one_branch_point():
-    # q^2 c^2 over F_13: q has roots in F_{13^2}, c in F_{13^3}, and every
-    # one of the five double roots maps to 0; the other critical points have
-    # degree 4, so all of them lie in F_{13^12}
+    # q^2 c^2 over F_13 with q = y - 1 and c = y^2 + 2 irreducible: the double
+    # root 1 has degree 1 and the two of c degree 2, and all three map to 0;
+    # the other two critical points have degree 2, so all of them lie in
+    # F_{13^2}, small enough to name every element
     F13 = make_field(13)
-    q = P(F13, 1, 3, 1)
-    c = P(F13, 1, 0, 4, 1)
-    F = make_field(13, 12)
+    q = P(F13, -1, 1)
+    c = P(F13, 2, 0, 1)
+    F = make_field(13, 2)
     f = lift_ratfunc(RatFunc.from_poly(q * q * c * c), F)
-    a = analyze_cover(f, candidates=[r for r, _m, _k in roots(f.num.derivative())])
+    a = analyze_cover(f, candidates=F.elements())
     assert a.complete
-    assert len(a.branch_points) == 6
+    assert len(a.branch_points) == 4
     assert a.branch_points[0] == F.zero
-    simple = (2,) + (1,) * 8
-    assert a.ram_type == RamType(10, ((2, 2, 2, 2, 2),) + (simple,) * 4 + ((10,),))
+    over_zero = [pt for pt, _e in a.ram_points if pt is not INF and f.num(pt).is_zero]
+    assert sorted(pt.min_degree() for pt in over_zero) == [1, 2, 2]
+    simple = (2,) + (1,) * 4
+    assert a.ram_type == RamType(6, ((2, 2, 2), simple, simple, (6,)))
 
 
 def test_analyze_rejects_inseparable():
