@@ -236,7 +236,7 @@ class FieldCtx:
     ``format``, ``_raw_of`` and ``sort_key``.  ``_raw_of(s)``
     returns the in-range raw value read from the ASCII digit tokens of s, or
     None; ``parse`` accepts s only when ``format`` of that value is s.  The
-    hot loops ``_row_update`` and ``_horner`` run on plain ints in PrimeField.
+    hot Horner loop ``_horner`` runs on plain ints in PrimeField.
     """
 
     kind = ""
@@ -272,12 +272,6 @@ class FieldCtx:
     def elements(self):
         """All field elements in canonical order (finite fields only)."""
         raise CharZero("cannot enumerate an infinite field")
-
-    def _row_update(self, row: list, factor, support) -> None:
-        """row[j] -= factor * v over support, the kernel solve's inner loop."""
-        mul, sub = self._mul, self._sub
-        for j, v in support:
-            row[j] = sub(row[j], mul(factor, v))
 
     def _horner(self, coeffs, r) -> list:
         """Horner values of the ascending raw coeffs at r (the last is f(r))."""
@@ -332,11 +326,6 @@ class PrimeField(FieldCtx):
     def elements(self):
         for v in range(self.p):
             yield FieldElem(self, v)
-
-    def _row_update(self, row, factor, support):
-        p = self.p
-        for j, v in support:
-            row[j] = (row[j] - factor * v) % p
 
     def _horner(self, coeffs, r):
         p, acc, out = self.p, 0, []

@@ -16,17 +16,12 @@ map is the normalized 3-point cover of the dual type (h_p; E1, E2, E3),
 E_i = p - e_i, since dlambda/dmu = u(1 - u) h'/(u - h)^2, u = mu^p,
 vanishes only over 0, 1, inf.  A genus-0 three-point type has
 E1 + E2 + E3 = 2 h_p + 1, so h_p = (3p - 1 - E)/2 with E = e1+e2+e3;
-``p_hurwitz_4pt`` is the one home of this count.  With da = h_p-E1,
-db = h_p-E3, dc = h_p-E2 the map is y^E1 A'/B', where
-
-    x^da A'(1/x) = 2F1(-da, -E2-dc; -da-dc; x),
-    B'           = 2F1(-db, -E2-dc; -db-dc; y),
-
-with B' monic and A'(1) = B'(1).  The recurrence of each terminating
-2F1(a, b; c; .) divides by (c+k)(k+1), a nonzero integer of absolute value
-below p, as da+dc = E3-1 and db+dc = E1-1 are at most p-2: a unit mod p.
-``lambda_map`` builds this (N, D) = (y^E1 A', B') and certifies it against
-h by three clauses, a FormulaMismatch naming the one that fails:
+``p_hurwitz_4pt`` is the one home of this count.  ``threepoint.closed_form``
+writes that cover down as two terminating 2F1 series (the formulas and why
+their divisors are units mod p are in the ``threepoint`` docstring); a dual
+index may be 1, and the map then has two branch points.  ``lambda_map``
+builds this (N, D), D monic, and certifies it against h by three clauses,
+a FormulaMismatch naming the one that fails:
 N (y^p h.den - h.num) = D y^p (h.den - h.num), gcd(N, D) = 1 and
 deg lambda = p_hurwitz_4pt(t).  With D monic they make (N, D) the reduced
 pair of y^p (1 - h)/(y^p - h).
@@ -77,7 +72,7 @@ from .poly import (
     roots,
 )
 from .ramify import NormalizedCover, expect_cover
-from .threepoint import ThreePointSpec, solve_three_point
+from .threepoint import ThreePointSpec, closed_form, solve_three_point
 
 
 @dataclass(frozen=True)
@@ -152,33 +147,6 @@ class LambdaMap:
     degree: int
 
 
-def _hyp2f1(p: int, n: int, b: int, c: int) -> list[int]:
-    """Ascending coefficients mod p of the terminating 2F1(-n, b; c; x)."""
-    out = [1]
-    for k in range(n):
-        den = (c + k) * (k + 1) % p
-        if den == 0:
-            raise FormulaMismatch(f"2F1({-n}, {b}; {c}) divides by ({c + k})({k + 1}) = 0 mod {p}")
-        out.append(out[-1] * (k - n) * (b + k) * pow(den, -1, p) % p)
-    return out
-
-
-def _dual_lambda(t: FourPointType) -> tuple[list[int], list[int]]:
-    """(N, D) of lambda = y^E1 A'/B' from the 2F1 forms of the dual type."""
-    p = t.p
-    E1, E2, E3 = p - t.e1, p - t.e2, p - t.e3
-    hp = (E1 + E2 + E3 - 1) // 2  # the degree of the genus-0 dual type
-    da, db, dc = hp - E1, hp - E3, hp - E2
-    a = _hyp2f1(p, da, -E2 - dc, -da - dc)[::-1]  # A'(y) = y^da * 2F1(1/y), up to scale
-    b = _hyp2f1(p, db, -E2 - dc, -db - dc)
-    if b[-1] == 0 or sum(a) % p == 0:
-        raise FormulaMismatch(f"dual closed form for {t}: lc(B') = {b[-1]}, A'(1) = {sum(a) % p}")
-    inv = pow(b[-1], -1, p)
-    b = [v * inv % p for v in b]  # B' monic
-    scale = sum(b) * pow(sum(a), -1, p) % p  # A'(1) = B'(1)
-    return [0] * E1 + [v * scale % p for v in a], b
-
-
 def lambda_map(ctx: FieldCtx, t: FourPointType) -> LambdaMap:
     """mu -> mu^p (1 - h(mu)) / (mu^p - h(mu)) in closed form, certified against h."""
     if not isinstance(ctx, PrimeField) or ctx.p != t.p:
@@ -188,7 +156,7 @@ def lambda_map(ctx: FieldCtx, t: FourPointType) -> LambdaMap:
         raise NoCovers(witness)
     h = solve_three_point(ctx, t.tilde_spec)
     p = t.p
-    num, den = (Poly.from_ints(ctx, c) for c in _dual_lambda(t))
+    num, den = (Poly.from_ints(ctx, c) for c in closed_form(p, p - t.e1, p - t.e2, p - t.e3))
     ypow = Poly.from_ints(ctx, [0] * p + [1])
     hn, hd = h.cover.num, h.cover.den
     if (ypow * hd - hn) * num != (ypow * (hd - hn)) * den:

@@ -1,23 +1,27 @@
 """The unique normalized genus-0 single-cycle cover with three branch points.
 
-For a type (d; e1, e2, e3) the normalized cover f satisfies f = y^e1 A / B
-and f - 1 = (y-1)^e2 C / B for polynomials A, B, C of degrees d-e1, d-e3,
-d-e2.  Equating the two expressions gives the linear identity
+For a type (d; e1, e2, e3) the normalized cover is f = y^e1 A / B with
+f - 1 = (y-1)^e2 C / B, where A, B, C have degrees da = d-e1, db = d-e3,
+dc = d-e2.  So B = y^e1 A - (y-1)^e2 C, whose terms of degree db+1 .. d
+must vanish: e3 linear equations in the e3+1 coefficients of A and C.
 
-    B = y^e1 * A - (y-1)^e2 * C
+Over F_p (d < p) ``closed_form`` writes the solution down, B monic and
+A(1) = B(1):
 
-so B is fixed by A and C, and the only constraints are that the right side
-has no terms of degree d-e3+1 .. d: a linear system of e3 equations in the
-e3+1 coefficients of A and C.  Its kernel is the kernel of the full
-coefficient matching in A, B, C, projected onto (A, C), so the two have
-the same dimension.  Uniqueness of the cover forces the kernel to be
-one-dimensional whenever the cover exists; the kernel vector is scaled to
-make B monic and the resulting map is verified to have exactly the
-requested type.  The verification is not optional: the system acquires
-spurious kernel vectors precisely when the cover does not exist, so
-checking the result IS the existence test.
+    x^da A(1/x) = 2F1(-da, -e2-dc; -da-dc; x),  B = 2F1(-db, -e2-dc; -db-dc; y).
 
-The same solve works verbatim over Q and over F_p.
+The recurrence of 2F1(-n, b; c; .) divides by (c+k)(k+1), 0 <= k < n < d;
+-c-k runs from dc+1 to da+dc = e3-1 or db+dc = e1-1, so both factors are
+nonzero and below p in absolute value: a unit mod p.  Indices 1 are
+allowed (a series with n = 0 is 1), for the dual types of
+``multconst.lambda_map``.
+
+Over Q ``kernel_cover`` solves the system: its kernel is that of the full
+matching in A, B, C projected onto (A, C), one-dimensional whenever the
+cover exists.  Over F_p it is the oracle of the closed form in ``verify``.
+``solve_three_point`` certifies either by gcd(num, den) = 1 and
+``expect_cover``; that is the existence test, since the system acquires
+spurious kernel vectors precisely when the cover does not exist.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
+from .errors import FormulaMismatch, InvalidType, InvariantViolated, KernelDimensionUnexpected, NoSuchCover
 from .field import FieldCtx, _pmul, _pzip, _trim
 from .poly import INF, Poly, RatFunc, poly_gcd
 from .ramify import NormalizedCover, expect_cover
@@ -64,7 +68,7 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
         return []
     ncols = len(rows[0])
     zero, one = ctx._zero, ctx._one
-    mul = ctx._mul
+    mul, sub = ctx._mul, ctx._sub
     m = [list(r) for r in rows]
     pivots = []  # (row, col)
     r = 0
@@ -81,7 +85,8 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
         for i, row in enumerate(m):
             factor = row[c]
             if i != r and factor != zero:
-                ctx._row_update(row, factor, support)
+                for j, v in support:
+                    row[j] = sub(row[j], mul(factor, v))
         pivots.append((r, c))
         r += 1
         if r == len(m):
@@ -98,14 +103,10 @@ def kernel_basis(rows: list[list], ctx: FieldCtx) -> list[list]:
     return basis
 
 
-def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
-    """Construct the unique normalized cover of type (d; e1, e2, e3)."""
+def kernel_cover(ctx: FieldCtx, spec: ThreePointSpec) -> tuple[Poly, Poly]:
+    """(y^e1 A, B), B monic, from the kernel of the e3 x (e3+1) system; uncertified."""
     e1, e2, e3 = spec.e1, spec.e2, spec.e3
     d = spec.d
-    p = ctx.characteristic
-    if p and d >= p:
-        raise NoSuchCover(f"d = {d} >= p = {p}: no tame cover of this type")
-
     da, db, dc = d - e1, d - e3, d - e2
     na, nc = da + 1, dc + 1
     if na + nc != e3 + 1:
@@ -138,15 +139,56 @@ def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
             f"degenerate kernel vector for type ({d}; {e1},{e2},{e3}) over {ctx}"
         )
     scale = B.lc.inverse()
-    A, B, C = A * scale, B * scale, C * scale
+    return Poly.x(ctx) ** e1 * A * scale, B * scale
 
-    num = Poly.x(ctx) ** e1 * A
-    # gcd(num - B, B) = gcd(num, B), and gcd(A, B) divides it
-    if poly_gcd(num, B).degree > 0:
+
+def _hyp2f1(p: int, n: int, b: int, c: int) -> list[int]:
+    """Ascending coefficients mod p of the terminating 2F1(-n, b; c; x);
+    pow raises ValueError where a divisor (c+k)(k+1) vanishes mod p."""
+    out = [1]
+    for k in range(n):
+        out.append(out[-1] * (k - n) * (b + k) * pow((c + k) * (k + 1), -1, p) % p)
+    return out
+
+
+def closed_form(p: int, e1: int, e2: int, e3: int) -> tuple[list[int], list[int]]:
+    """Ascending ints mod p of (y^e1 A, B), B monic and A(1) = B(1), for a
+    genus-0 type (d; e1, e2, e3) with indices >= 1 and d < p; uncertified."""
+    d = (e1 + e2 + e3 - 1) // 2
+    da, db, dc = d - e1, d - e3, d - e2
+    what = f"closed form for type ({d}; {e1},{e2},{e3}) over F_{p}"
+    try:
+        a = _hyp2f1(p, da, -e2 - dc, -da - dc)[::-1]  # A(y) = y^da 2F1(1/y)
+        b = _hyp2f1(p, db, -e2 - dc, -db - dc)
+    except ValueError:
+        raise FormulaMismatch(f"{what}: a divisor (c+k)(k+1) vanishes mod {p}") from None
+    if b[-1] == 0 or sum(a) % p == 0:
+        raise FormulaMismatch(f"{what}: lc(B) = {b[-1]}, A(1) = {sum(a) % p}")
+    inv = pow(b[-1], -1, p)
+    b = [v * inv % p for v in b]  # B monic
+    scale = sum(b) * pow(sum(a), -1, p) % p  # A(1) = B(1)
+    return [0] * e1 + [v * scale % p for v in a], b
+
+
+def solve_three_point(ctx: FieldCtx, spec: ThreePointSpec) -> NormalizedCover:
+    """Construct the unique normalized cover of type (d; e1, e2, e3): in
+    closed form over F_p, by the kernel solve over Q; certified."""
+    e1, e2, e3 = spec.e1, spec.e2, spec.e3
+    d = spec.d
+    p = ctx.characteristic
+    if p and d >= p:
+        raise NoSuchCover(f"d = {d} >= p = {p}: no tame cover of this type")
+    if p:
+        num, den = (Poly.from_ints(ctx, c) for c in closed_form(p, e1, e2, e3))
+    else:
+        num, den = kernel_cover(ctx, spec)
+
+    # gcd(num - den, den) = gcd(num, den), so this one check covers f - 1 too
+    if poly_gcd(num, den).degree > 0:
         raise NoSuchCover(
-            f"kernel vector shares factors for type ({d}; {e1},{e2},{e3}) over {ctx}"
+            f"gcd clause: num and den share a factor for type ({d}; {e1},{e2},{e3}) over {ctx}"
         )
-    f = RatFunc(num, B)  # coprime, and B is monic
+    f = RatFunc(num, den)  # coprime, and den is monic
 
     # The indices e1 + e2 + e3 = 2d + 1 use up the Riemann-Hurwitz mass
     # 2d - 2, so with the images 0, 1, inf -> 0, 1, inf they leave no other

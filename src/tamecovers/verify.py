@@ -16,7 +16,7 @@ from . import addconst, jsonio, multconst, symhurwitz
 from .errors import DegreeTooLarge, DomainError, FormulaMismatch, InvalidMu, MixedContexts, UsageError
 from .field import is_prime, make_field
 from .poly import Poly, lift_poly, lift_ratfunc
-from .threepoint import ThreePointSpec, solve_three_point
+from .threepoint import ThreePointSpec, closed_form, kernel_cover, solve_three_point
 
 SUITES = ("paper-examples", "formulas", "roundtrip", "oracle")
 _BOUND = dict(zip(SUITES, ("p", "p_max", "p", "d_max")))  # the one bound each suite reads
@@ -121,16 +121,45 @@ def _paper_examples(p: int) -> list[dict]:
     return checks
 
 
+def _closed_form_failures(p: int) -> list[list[int]]:
+    """The types whose closed form over F_p differs from its reference, or
+    whose builder raises: the normalized kernel solve for the types with
+    indices >= 2 and d < p, and y^d or 1 - (1 - y)^d for the index-1 duals
+    (d; d, 1, d) and (d; 1, d, d) that lambda_map builds, 2 <= d <= p-2."""
+    ctx = make_field(p)
+    y, one = Poly.x(ctx), Poly.one(ctx)
+    types = [es for es in itertools.product(range(2, p), repeat=3)
+             if sum(es) % 2 and max(es) <= (sum(es) - 1) // 2 < p]
+    duals = [es for d in range(2, p - 1) for es in ((d, 1, d), (1, d, d))]
+    failures = []
+    for es in types + duals:
+        try:
+            got = tuple(Poly.from_ints(ctx, c) for c in closed_form(p, *es))
+            if min(es) > 1:
+                want = kernel_cover(ctx, ThreePointSpec(*es))
+            else:  # two branch points
+                d = max(es)
+                want = (y ** d if es[1] == 1 else one - (one - y) ** d, one)
+        except DomainError:
+            failures.append(list(es))
+            continue
+        if got != want:
+            failures.append(list(es))
+    return failures
+
+
 def _formulas(p_max: int) -> list[dict]:
     checks = []
     for p in filter(is_prime, range(5, p_max + 1)):
         ctx = make_field(p)
+        checks.append(_check(f"three-point-closed-form-p{p}", _closed_form_failures(p), []))
+
         mismatches = []
         types = _admissible_types(p)
         for t in types:
             try:
                 multconst.lambda_map(ctx, t)  # checks deg(lambda) against p_hurwitz_4pt
-            except FormulaMismatch:
+            except DomainError:
                 mismatches.append([t.e1, t.e2, t.e3])
         checks.append(_check(f"degree-identity-p{p}-{len(types)}-types", mismatches, []))
 

@@ -20,7 +20,8 @@ import tempfile
 
 import pytest
 
-from tamecovers import cli, verify
+from tamecovers import cli, threepoint, verify
+from tamecovers.field import PrimeField
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_cli.json")
 
@@ -102,6 +103,26 @@ def test_verify_library_matches_cli_golden():
     # the library entry point prints nothing itself; the CLI adds the newline
     want = _golden()["verify-paper-examples"][0]["stdout"]
     assert json.dumps(verify.run_suite("paper-examples", p=7)) == want[:-1]
+
+
+def test_no_command_over_f_p_runs_the_kernel_solve(monkeypatch, tmp_path):
+    # over F_p the 3-point cover is the closed form; the formulas suite alone
+    # runs the kernel there, as the closed form's oracle
+    real = threepoint.kernel_basis
+    fields = []
+
+    def over_q_only(rows, ctx):
+        if isinstance(ctx, PrimeField):
+            raise AssertionError(f"kernel_basis over {ctx}")
+        fields.append(ctx)
+        return real(rows, ctx)
+
+    monkeypatch.setattr(threepoint, "kernel_basis", over_q_only)
+    for name in sorted(set(CASES) - {"verify-formulas"}):
+        tmp = tmp_path / name
+        tmp.mkdir()
+        assert run_case(CASES[name], str(tmp)) == _golden()[name], name
+    assert fields and {ctx.characteristic for ctx in fields} == {0}
 
 
 def record() -> None:

@@ -2,19 +2,20 @@
 cover of the dual type (h_p; p-e1, p-e2, p-e3), built by multconst in
 closed form and certified against h.  Two references that do not use the
 closed form: the gcd reduction of y^p (1 - h) / (y^p - h), and the kernel
-solve of the dual type, which does not use h at all; where a dual index is
-1 there is no 3-point type, and the map has two branch points."""
+solve of the dual type, which uses neither h nor the closed form; where a
+dual index is 1 there is no 3-point type, and the map has two branch
+points."""
 
 import random
 
 import pytest
 
-from tamecovers import multconst
+from tamecovers import multconst, threepoint
 from tamecovers.errors import FormulaMismatch
 from tamecovers.field import is_prime, make_field
 from tamecovers.multconst import FourPointType, lambda_map
 from tamecovers.poly import Poly, RatFunc
-from tamecovers.threepoint import ThreePointSpec, solve_three_point
+from tamecovers.threepoint import ThreePointSpec, kernel_cover
 
 
 def admissible(p, e1, e2, e3):
@@ -53,7 +54,7 @@ def check_type(t, reduce=True):
     assert L.degree == hp
     dual = (t.p - t.e1, t.p - t.e2, t.p - t.e3)
     if min(dual) >= 2:
-        assert L.map == solve_three_point(F, ThreePointSpec(*dual)).cover, t
+        assert (L.map.num, L.map.den) == kernel_cover(F, ThreePointSpec(*dual)), t
         return
     # a dual index 1 leaves two branch points: lambda = y^hp or 1 - (1 - y)^hp
     y, one = Poly.x(F), Poly.one(F)
@@ -75,42 +76,56 @@ def test_closed_form_matches_on_seeded_sweep_types():
             check_type(t, reduce=False)
 
 
+def plant_in_lambda(monkeypatch, series):
+    """Run multconst's closed-form call (the dual type's, not h's) with
+    ``series`` in place of threepoint._hyp2f1."""
+    real = multconst.closed_form
+
+    def planted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(threepoint, "_hyp2f1", series)
+            return real(*args)
+
+    monkeypatch.setattr(multconst, "closed_form", planted)
+
+
 def test_off_by_one_in_a_parameter_fails_the_identity_clause(monkeypatch):
     calls = []
-    real = multconst._hyp2f1
+    real = threepoint._hyp2f1
 
     def shifted(p, n, b, c):
         calls.append(n)
         # the second series is B'; shift its numerator parameter
         return real(p, n, b + 1 if len(calls) == 2 else b, c)
 
-    monkeypatch.setattr(multconst, "_hyp2f1", shifted)
+    plant_in_lambda(monkeypatch, shifted)
     with pytest.raises(FormulaMismatch, match="identity clause"):
         lambda_map(make_field(13), FourPointType(13, 5, 4, 7))
 
 
 def test_common_factor_fails_the_gcd_clause(monkeypatch):
-    real = multconst._dual_lambda
+    real = multconst.closed_form
     p = 13
 
-    def times_y_plus_1(t):
+    def times_y_plus_1(*args):
         # N and D both times (y + 1); D stays monic
-        return tuple([(a + b) % p for a, b in zip([0] + c, c + [0])] for c in real(t))
+        return tuple([(a + b) % p for a, b in zip([0] + c, c + [0])] for c in real(*args))
 
-    monkeypatch.setattr(multconst, "_dual_lambda", times_y_plus_1)
+    monkeypatch.setattr(multconst, "closed_form", times_y_plus_1)
     with pytest.raises(FormulaMismatch, match="gcd clause"):
         lambda_map(make_field(p), FourPointType(p, 5, 4, 7))
 
 
 def test_a_broken_closed_form_is_a_formula_mismatch(monkeypatch):
     # a numerator factor that vanishes mod p zeroes the tail of the series
-    real = multconst._hyp2f1
-    monkeypatch.setattr(multconst, "_hyp2f1", lambda p, n, b, c: real(p, n, 0, c))
-    with pytest.raises(FormulaMismatch):
+    real = threepoint._hyp2f1
+    plant_in_lambda(monkeypatch, lambda p, n, b, c: real(p, n, 0, c))
+    with pytest.raises(FormulaMismatch, match=r"closed form for type \(11; 8,9,6\) over F_13"):
         lambda_map(make_field(13), FourPointType(13, 5, 4, 7))
     # a recurrence denominator that vanishes mod p
-    monkeypatch.setattr(multconst, "_hyp2f1", lambda p, n, b, c: real(p, n, b, 0))
-    with pytest.raises(FormulaMismatch):
+    monkeypatch.undo()
+    plant_in_lambda(monkeypatch, lambda p, n, b, c: real(p, n, b, 0))
+    with pytest.raises(FormulaMismatch, match="vanishes mod 13"):
         lambda_map(make_field(13), FourPointType(13, 5, 4, 7))
 
 

@@ -1,6 +1,5 @@
-"""PrimeField runs the kernel row update and the Horner step on plain ints;
-a PrimeField subclass that takes back FieldCtx's generic loops is the
-oracle for both."""
+"""PrimeField runs the Horner step on plain ints; a PrimeField subclass
+that takes back FieldCtx's generic loop is its oracle."""
 
 import random
 
@@ -8,11 +7,9 @@ import pytest
 
 from tamecovers.field import FieldCtx, FieldElem, PrimeField
 from tamecovers.poly import Poly, synthetic_div
-from tamecovers.threepoint import kernel_basis
 
 
 class GenericPrime(PrimeField):
-    _row_update = FieldCtx._row_update
     _horner = FieldCtx._horner
 
 
@@ -21,24 +18,6 @@ PRIMES = [2, 3, 101, 2**61 - 1, 2**89 - 1]
 
 def sparse_entry(rng, p):
     return 0 if rng.random() < 0.4 else rng.randrange(p)
-
-
-def seeded_matrix(rng, p):
-    nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
-    rows = [[sparse_entry(rng, p) for _ in range(ncols)] for _ in range(nrows)]
-    if nrows > 2:  # a dependent row, so the rank drops
-        a, b = rng.randrange(p), rng.randrange(p)
-        rows[-1] = [(a * u + b * v) % p for u, v in zip(rows[0], rows[1])]
-    return rows
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_kernel_basis_plain_ints_match_the_generic_loop(p):
-    rng = random.Random(p % 1000003)
-    fast, generic = PrimeField(p), GenericPrime(p)
-    for _ in range(60):
-        rows = seeded_matrix(rng, p)
-        assert kernel_basis(rows, fast) == kernel_basis(rows, generic)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
 
 import pytest
 
+from tamecovers import cli, threepoint
 from tamecovers.errors import InvalidType, NoSuchCover
 from tamecovers.field import FieldElem, make_field
 from tamecovers.poly import INF, Poly, RatFunc, evaluate
@@ -192,3 +196,33 @@ def test_kernel_basis_matches_brute_force(ctx):
                       for i in range(ncols))
                 for cs in itertools.product(elems, repeat=len(basis))}
         assert span == kernel
+
+
+def test_common_factor_fails_the_gcd_clause(monkeypatch):
+    real = threepoint.closed_form
+
+    def times_y_plus_1(p, *es):
+        # num and den both times (y + 1); den stays monic
+        return tuple([(a + b) % p for a, b in zip([0] + c, c + [0])] for c in real(p, *es))
+
+    monkeypatch.setattr(threepoint, "closed_form", times_y_plus_1)
+    with pytest.raises(NoSuchCover, match=r"gcd clause: .* type \(4; 3,3,3\) over F_7"):
+        solve_three_point(F7, ThreePointSpec(3, 3, 3))
+
+
+@pytest.mark.parametrize("shift", ["n", "b", "c"])
+def test_off_by_one_in_the_series_fails_the_closed_form_check(monkeypatch, shift):
+    real = threepoint._hyp2f1
+
+    def shifted(p, n, b, c):
+        args = dict(n=n, b=b, c=c)
+        args[shift] += 1
+        return real(p, **args)
+
+    monkeypatch.setattr(threepoint, "_hyp2f1", shifted)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(["verify", "--suite", "formulas", "--p_max", "7"])
+    assert code == 2
+    failed = {c["name"] for c in json.loads(buf.getvalue())["checks"] if not c["pass"]}
+    assert "three-point-closed-form-p5" in failed
