@@ -240,7 +240,11 @@ def _strip_root(f: Poly, r: FieldElem) -> tuple[int, Poly]:
 
 
 def linear_multiplicity(f: Poly, r: FieldElem) -> int:
-    """Multiplicity of r as a root of f (0 if not a root)."""
+    """Multiplicity of r as a root of f (0 if not a root, or if f = 0); at
+    r = 0 it is the number of low-order zero coefficients of f."""
+    if f.ctx.elem(r).is_zero and f.raw:
+        zero = f.ctx._zero
+        return next(k for k, c in enumerate(f.raw) if c != zero)
     return _strip_root(f, r)[0]
 
 

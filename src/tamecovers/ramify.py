@@ -7,11 +7,18 @@ bookkeeping at the named points ``candidates`` (elements of the map's own
 field) and at ``INF``.  It computes the ramification index of each named
 point, the branch points and, when complete, the ramification type, whose
 Riemann-Hurwitz genus ``genus_from_type`` gives.  The analysis is complete
-exactly when dividing the derivative numerator W by each named point's
-multiplicity in it leaves a constant.  To analyse a map over a small finite
-field without knowing its critical points, name every element
-(``candidates=ctx.elements()``), lifting the map first into a field that
-holds them.
+when the named points and INF are all of the ramification.  INF is always
+indexed, and an inseparable map has every index divisible by p, so a map
+with no index divisible by p is separable; its different then has degree
+2d - 2, a tame point of index e adds exactly e - 1 to it and every other
+ramified point adds at least 1.  So such a map is complete exactly when
+the named points and INF give sum(e - 1) = 2d - 2.
+Only when some index is divisible by p is the derivative numerator
+W = num' den - num den' built: the map is inseparable when W = 0, and
+complete when dividing W by each named point's multiplicity in it leaves a
+constant.  To analyse a map over a small finite field without knowing its
+critical points, name every element (``candidates=ctx.elements()``),
+lifting the map first into a field that holds them.
 
 ``expect_cover`` is the one certification step of the constructions: it
 runs the analysis once and raises the caller's error class naming the
@@ -126,32 +133,33 @@ def analyze_cover(f: RatFunc, candidates) -> CoverAnalysis:
     finite points ``candidates`` (elements of f's field) and at infinity."""
     ctx = f.ctx
     d = map_degree(f)  # raises ConstantMap on constants
-    W = f.num.derivative() * f.den - f.num * f.den.derivative()
-    if W.is_zero:
-        raise Inseparable("derivative data vanishes identically")
-
-    ram_points = []
-    residual = W
-    seen = set()
-    for cand in candidates:
-        if cand is INF or cand in seen:
-            continue
-        seen.add(cand)
-        x = ctx.elem(cand)
-        m, residual = _strip_root(residual, x)
-        if m:
-            ram_points.append((x, ord_at(f, x, evaluate(f, x))))
-    complete = residual.degree <= 0
-
-    e_inf = ord_at(f, INF, evaluate(f, INF))
-    if e_inf >= 2:
-        ram_points.append((INF, e_inf))
-    ram_points.sort(key=lambda pe: _pt_sort_key(pe[0]))
-    images = [evaluate(f, pt) for pt, _e in ram_points]
+    ram = []  # (point, index, image) at each ramified named point and INF
+    for x in [*{ctx.elem(c) for c in candidates if c is not INF}, INF]:
+        v = evaluate(f, x)
+        e = ord_at(f, x, v)
+        if e >= 2:
+            ram.append((x, e, v))
+    ram.sort(key=lambda r: _pt_sort_key(r[0]))
+    ram_points = [(x, e) for x, e, _v in ram]
+    images = [v for _x, _e, v in ram]
     branch_points = tuple(sorted(set(images), key=_pt_sort_key))
 
     p = ctx.characteristic
     tame = p == 0 or all(e % p != 0 for _pt, e in ram_points)
+    if tame:
+        # separable, so the different has degree 2d - 2, e - 1 from each point
+        excess = sum(e - 1 for _pt, e in ram_points) - (2 * d - 2)
+        if excess > 0:
+            raise InvariantViolated("tame indices exceed the Riemann-Hurwitz count 2d - 2")
+        complete = excess == 0
+    else:
+        W = f.num.derivative() * f.den - f.num * f.den.derivative()
+        if W.is_zero:
+            raise Inseparable("derivative data vanishes identically")
+        for x, _e in ram_points:
+            if x is not INF:
+                W = _strip_root(W, x)[1]
+        complete = W.degree <= 0
 
     ram_type = None
     if complete:
@@ -186,7 +194,9 @@ def expect_cover(f: RatFunc, exc, what: str, points, images=(), branch=None,
     clauses are checked in a fixed order: tame, degree, index at each named
     point, image of each named point, complete (the named points account
     for every critical point), ramification-point count, branch points.
-    The detail of exc names the first failing clause.
+    The detail of exc names the first failing clause.  A tame f is complete
+    by the count sum(e - 1) = 2d - 2 (see the module docstring); only an f
+    with an index divisible by p builds the derivative, and fails as tame.
     """
     a = analyze_cover(f, candidates=[x for x, _e in points])
 

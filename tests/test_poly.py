@@ -368,6 +368,37 @@ def test_linear_multiplicity():
     assert linear_multiplicity(f, QQ.from_int(1)) == 0
 
 
+def _division_count(f, r):
+    """Multiplicity of r by repeated synthetic division (0 for f = 0)."""
+    m = 0
+    while not f.is_zero:
+        f, rem = poly.synthetic_div(f, r)
+        if not rem.is_zero:
+            break
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("ctx", [F7, F25, QQ], ids=["F7", "F25", "Q"])
+def test_linear_multiplicity_at_zero_counts_low_zero_coefficients(ctx):
+    rng = random.Random(18)
+    y = Poly.x(ctx)
+    cases = [Poly.zero(ctx), Poly.one(ctx), P(ctx, 3, 0, 1), y, y ** 5]
+    for _ in range(60):
+        g = Poly.from_ints(ctx, [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))])
+        cases.append(y ** rng.randrange(0, 7) * g)
+    for f in cases:
+        got = linear_multiplicity(f, ctx.zero)
+        assert got == _division_count(f, ctx.zero), f
+        if not f.is_zero:
+            assert got == next(k for k, c in enumerate(f.coeffs) if not c.is_zero)
+    assert linear_multiplicity(y ** 5, ctx.zero) == 5
+    assert linear_multiplicity(Poly.zero(ctx), ctx.zero) == 0
+    assert linear_multiplicity(P(ctx, 3, 0, 1), ctx.zero) == 0
+    with pytest.raises(MixedContexts):
+        linear_multiplicity(y, F5.zero)
+
+
 def test_fiber_sum_equals_degree_at_desk_scale():
     f = RatFunc.make(P(F7, 1, 0, 3, 1), P(F7, 2, 1))
     d = map_degree(f)

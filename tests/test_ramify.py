@@ -9,8 +9,10 @@ from tamecovers.poly import (
     INF,
     Poly,
     RatFunc,
+    evaluate,
     lift_ratfunc,
     ord_at,
+    synthetic_div,
 )
 from tamecovers.ramify import (
     RamType,
@@ -19,6 +21,7 @@ from tamecovers.ramify import (
     genus_from_type,
     single_cycle_type,
 )
+from tamecovers.threepoint import ThreePointSpec, solve_three_point
 
 from mobius_helper import mobius
 from three_point_oracle import is_three_point
@@ -190,3 +193,143 @@ def test_three_point_cover_is_single_cycle():
     # one part > 1 per partition: one ramified point over each branch point
     a = analyze_cover(RatFunc.make(P(F7, 0, 0, 0, 1), P(F7, -2, 3)), candidates=F7.elements())
     assert a.ram_type.single_cycle == (3, 2, 2)
+
+
+# -- the Riemann-Hurwitz count against the derivative rule -------------------
+
+def _strip(g, x):
+    """(m, g / (y - x)^m) for the multiplicity m of x in a nonzero g."""
+    m = 0
+    while True:
+        q, rem = synthetic_div(g, x)
+        if not rem.is_zero:
+            return m, g
+        g, m = q, m + 1
+
+
+def _index(f, x, v):
+    """Ramification index of f at x over v = f(x), read off num and den."""
+    if x is INF:
+        return f.num.degree - f.den.degree if v is INF else f.den.degree - f.fiber_poly(v).degree
+    return _strip(f.den if v is INF else f.fiber_poly(v), x)[0]
+
+
+def _key(pt):
+    return (True, ()) if pt is INF else (False, pt.sort_key())
+
+
+def _derivative_rule(f, named):
+    """(complete, ram_points, branch_points, ram_type) by the derivative
+    numerator W = num' den - num den' of a separable f: a named point is
+    ramified when it is a root of W, INF when its index is at least 2, and
+    the named points are complete when W stripped of them is a constant."""
+    W = f.num.derivative() * f.den - f.num * f.den.derivative()
+    assert not W.is_zero
+    ram = []
+    for x in set(named):
+        m, W = _strip(W, x)
+        if m:
+            ram.append((x, _index(f, x, evaluate(f, x))))
+    e_inf = _index(f, INF, evaluate(f, INF))
+    if e_inf >= 2:
+        ram.append((INF, e_inf))
+    ram.sort(key=lambda pe: _key(pe[0]))
+    images = [evaluate(f, x) for x, _e in ram]
+    branch = tuple(sorted(set(images), key=_key))
+    complete = W.degree <= 0
+    ram_type = None
+    if complete:
+        d = max(f.num.degree, f.den.degree)
+        classes = []
+        for b in branch:
+            idx = sorted((e for (_x, e), v in zip(ram, images) if v == b), reverse=True)
+            classes.append(tuple(idx + [1] * (d - sum(idx))))
+        ram_type = RamType(d, tuple(classes))
+    return complete, tuple(ram), branch, ram_type
+
+
+def _random_poly(elems, rng, deg):
+    lead = rng.choice([c for c in elems if not c.is_zero])
+    return Poly.from_elems(lead.ctx, [rng.choice(elems) for _ in range(deg)] + [lead])
+
+
+def _compose(g, h):
+    out = Poly.zero(h.ctx)
+    for c in reversed(g.coeffs):
+        out = out * h + Poly.constant(c)
+    return out
+
+
+def _random_maps(ctx, rng, count):
+    """Products and compositions of random polynomials, and quotients."""
+    elems = list(ctx.elements())
+    maps = []
+    while len(maps) < count:
+        kind = len(maps) % 3
+        g, h = (_random_poly(elems, rng, rng.randrange(1, 5)) for _ in "gh")
+        if kind == 0:
+            f = RatFunc.from_poly(g * h)
+        elif kind == 1:
+            f = RatFunc.from_poly(_compose(g, _random_poly(elems, rng, 2)))
+        else:
+            f = RatFunc.make(g, h)
+        if not f.is_constant:
+            maps.append(f)
+    return maps
+
+
+@pytest.mark.parametrize("ctx", [F7, make_field(11), make_field(5, 2)], ids=["F7", "F11", "F25"])
+def test_count_rule_matches_derivative_rule_on_tame_maps(ctx):
+    rng = random.Random(ctx.order)
+    elems = list(ctx.elements())
+    seen = set()
+    for f in _random_maps(ctx, rng, 45):
+        full = _derivative_rule(f, elems)
+        if any(e % ctx.characteristic == 0 for _x, e in full[1]):
+            continue  # a wild index: analyze_cover builds W itself
+        critical = [x for x, _e in full[1] if x is not INF]
+        namings = [elems]
+        for _ in range(3):
+            namings.append(rng.sample(critical, rng.randrange(len(critical) + 1))
+                           + rng.sample(elems, 2))
+        for named in namings:
+            a = analyze_cover(f, candidates=named)
+            assert a.tame
+            assert (a.complete, a.ram_points, a.branch_points, a.ram_type) == \
+                _derivative_rule(f, named), (f, named)
+            seen.add(a.complete)
+    assert seen == {True, False}
+
+
+def _planted_three_point_f11():
+    # (5; 2, 4, 5) over F_11, built by solve_three_point: 0 has index 2
+    F11 = make_field(11)
+    f = solve_three_point(F11, ThreePointSpec(2, 4, 5)).cover
+    return f, ((F11.one, 4), (INF, 5)), None
+
+
+@pytest.mark.parametrize("build", [
+    # the 3-point cover of type (3; 2, 2, 3): 1 has index 2
+    lambda: (RatFunc.from_poly(P(F7, 0, 0, 3, -2)), ((F7.zero, 2), (INF, 3)), None),
+    _planted_three_point_f11,
+    # y^3 - 3y over F_7: a simple critical point at each of 1 and -1
+    lambda: (RatFunc.from_poly(P(F7, 0, -3, 0, 1)), ((F7.one, 2), (INF, 3)), 3),
+], ids=["F7-(3;2,2,3)", "F11-(5;2,4,5)", "F7-y^3-3y"])
+def test_an_unnamed_simple_critical_point_fails_complete(build):
+    f, named, e = build()
+    with pytest.raises(NoSuchCover) as info:
+        expect_cover(f, NoSuchCover, "planted", named, degree=e)
+    assert info.value.detail == ("planted failed type verification: complete: "
+                                 "the named points do not account for every critical point")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_wild_separable_map_is_certified_by_the_derivative(p):
+    # y^p + y: W = 1, one wild point (INF, p) and no finite critical point
+    F = make_field(p)
+    f = RatFunc.from_poly(Poly.from_ints(F, [0, 1] + [0] * (p - 2) + [1]))
+    a = analyze_cover(f, candidates=F.elements())
+    assert not a.tame and a.complete
+    assert a.ram_points == ((INF, p),)
+    assert (a.complete, a.ram_points, a.branch_points, a.ram_type) == \
+        _derivative_rule(f, F.elements())
